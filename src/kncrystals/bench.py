@@ -23,7 +23,7 @@ class BenchReport:
     charge_ns_per_element: float
     energy_warm_ns_per_element: float
     energy_cold_seconds: float
-    speedup_energy_over_charge: float
+    energy_over_charge_ratio: float
     agreement: bool
 
     def to_json(self):
@@ -38,10 +38,9 @@ class BenchReport:
                     self.energy_warm_ns_per_element, 1
                 ),
                 "energy_cold_seconds": round(self.energy_cold_seconds, 6),
-                "speedup_energy_over_charge": round(
-                    self.speedup_energy_over_charge, 3
-                ),
+                "energy_over_charge_ratio": round(self.energy_over_charge_ratio, 3),
                 "agreement": self.agreement,
+                "schema_version": 2,
             },
             indent=2,
             sort_keys=True,
@@ -55,7 +54,7 @@ class BenchReport:
                 f"charge: {self.charge_ns_per_element:.0f} ns/element (median)",
                 f"energy (warm tables): {self.energy_warm_ns_per_element:.0f} ns/element (median)",
                 f"energy table build (cold): {self.energy_cold_seconds:.3f} s",
-                f"ratio energy/charge: {self.speedup_energy_over_charge:.2f}x",
+                f"ratio energy/charge: {self.energy_over_charge_ratio:.2f}x",
                 f"values agree (D = -charge): {self.agreement}",
             ]
         )
@@ -107,6 +106,6 @@ def run_bench(ct, heights, trials=10_000, seed=0, repeats=3):
         charge_ns_per_element=charge_ns,
         energy_warm_ns_per_element=energy_ns,
         energy_cold_seconds=cold,
-        speedup_energy_over_charge=energy_ns / charge_ns if charge_ns else 0.0,
+        energy_over_charge_ratio=energy_ns / charge_ns if charge_ns else 0.0,
         agreement=agreement,
     )

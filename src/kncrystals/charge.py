@@ -10,14 +10,22 @@ in the tests:
   wrapping around with a penalty.
 
 The descent-arm route is the default; the selection route is the oracle.
-Both require the column heights to be weakly decreasing left to right;
+It runs on integer keys, the positions of the letters in the total order.
+Each factor's key columns (both split halves in type C) come from a table
+cached per column, and they are sorted, so the circularly smallest unused
+key from ``p`` is the first one ``>= p`` (found by bisection), or else the
+smallest one.  Descents are recorded as their cells are produced.
+
+Both routes require the column heights to be weakly decreasing left to right;
 callers holding an unsorted element can reorder it with
 :func:`kncrystals.qpoly.sort_via_rmatrix`, which preserves the energy.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .core import split_column
 from .errors import (
@@ -48,36 +56,7 @@ def ls_charge(word):
     counts = [word.count(j) for j in range(1, top + 1)]
     if any(a < b for a, b in zip(counts, counts[1:])):
         raise NotPartitionContent(f"content {counts} is not a partition")
-    alive = [True] * len(word)
-    remaining = len(word)
-    total = 0
-    while remaining:
-        pos = None
-        wraps = []
-        target = 1
-        while True:
-            found = None
-            if pos is not None:
-                for p in range(pos - 1, -1, -1):
-                    if alive[p] and word[p] == target:
-                        found = p
-                        break
-            if found is None:
-                for p in range(len(word) - 1, -1, -1):
-                    if alive[p] and word[p] == target:
-                        found = p
-                        break
-                if found is not None and pos is not None:
-                    wraps.append(target - 1)
-            if found is None:
-                break
-            alive[found] = False
-            remaining -= 1
-            pos = found
-            target += 1
-        k = target - 1
-        total += sum(k - j for j in wraps)
-    return total
+    return _selection_charge(word, paired=False)
 
 
 @dataclass(frozen=True)
@@ -141,13 +120,15 @@ class CircFilling:
     """A filling of the (doubled) shape produced by the circular reordering.
 
     Columns are stored in produced row order, top row first; ``heights``
-    lists the column heights left to right.
+    lists the column heights left to right.  ``descent_cells`` holds the
+    cells recorded while the columns were produced.
     """
 
     cartan: object
     doubled: bool
     heights: tuple
     cols: tuple
+    descent_cells: tuple
 
     def rows(self):
         out = []
@@ -157,24 +138,23 @@ class CircFilling:
 
     def descents(self):
         """Cells (row, column), 1-based, whose right neighbour is smaller."""
-        key = self.cartan.key
-        found = []
-        for j in range(len(self.cols) - 1):
-            h_next = self.heights[j + 1]
-            for i in range(min(self.heights[j], h_next)):
-                if key(self.cols[j][i]) > key(self.cols[j + 1][i]):
-                    found.append((i + 1, j + 1))
-        return tuple(found)
+        return self.descent_cells
 
     def arm(self, row, col):
         return sum(1 for h in self.heights[col:] if h >= row)
 
 
-def _circ_min(ct, start, pool):
-    """The minimum of ``pool`` in the circular order starting at ``start``."""
-    size = ct.alphabet_size
-    base = ct.key(start)
-    return min(pool, key=lambda x: (ct.key(x) - base) % size)
+@lru_cache(maxsize=None)
+def _key_columns(ct, col):
+    """The key tuples of a factor: its two split halves in type C, else itself."""
+    halves = split_column(ct, col) if ct.family == "C" else (col,)
+    return tuple(tuple(ct.key(x) for x in half) for half in halves)
+
+
+@lru_cache(maxsize=None)
+def _letters(ct):
+    """The letters indexed by key; index 0 is unused."""
+    return (None,) + ct.alphabet()
 
 
 def circ_ord(elem):
@@ -183,34 +163,37 @@ def circ_ord(elem):
     The first column stays put; each later cell takes the unused letter of
     its column that is circularly smallest from the previous column's entry
     in the same row.  In type C the rule runs over the doubled sequence of
-    split columns.
+    split columns, and a descent inside a split pair raises ``OddArmSum``.
     """
     ct = elem.cartan
     _require_sorted(elem.heights)
-    if ct.family == "C":
-        cols = split_factors(elem)
-        doubled = True
-    else:
-        cols = elem.factors
-        doubled = False
-    out = [tuple(cols[0])]
-    for col in cols[1:]:
-        pool = list(col)
-        prev = out[-1]
+    doubled = ct.family == "C"
+    cols = [keys for col in elem.factors for keys in _key_columns(ct, col)]
+    prev = cols[0]
+    out = [prev]
+    cells = []
+    for j in range(1, len(cols)):
+        pool = list(cols[j])
         produced = []
-        for i in range(len(col)):
-            pick = _circ_min(ct, prev[i], pool)
-            pool.remove(pick)
+        for i, p in enumerate(prev[: len(pool)]):
+            pick = pool.pop(bisect_left(pool, p) % len(pool))
+            if p > pick:
+                if doubled and j % 2:
+                    raise OddArmSum(
+                        f"descent inside the split pair at row {i + 1}, column {j}"
+                    )
+                cells.append((i + 1, j))
             produced.append(pick)
-        out.append(tuple(produced))
-    filling = CircFilling(ct, doubled, tuple(len(c) for c in cols), tuple(out))
-    if doubled:
-        for i, j in filling.descents():
-            if j % 2 == 1:
-                raise OddArmSum(
-                    f"descent inside the split pair at row {i}, column {j}"
-                )
-    return filling
+        out.append(produced)
+        prev = produced
+    letters = _letters(ct)
+    return CircFilling(
+        ct,
+        doubled,
+        tuple(len(c) for c in cols),
+        tuple(tuple(map(letters.__getitem__, c)) for c in out),
+        tuple(cells),
+    )
 
 
 def charge_from_filling(filling):

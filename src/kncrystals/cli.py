@@ -220,11 +220,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CrystalError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 2
-    except ValueError as ex:
-        print(f"error: {ex}", file=sys.stderr)
+    except (CrystalError, ValueError) as ex:
+        print(f"error: {type(ex).__name__}: {ex}", file=sys.stderr)
         return 2
 
 

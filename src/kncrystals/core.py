@@ -32,6 +32,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
 from .errors import (
     AdmissibilityViolation,
@@ -538,9 +539,17 @@ def lusztig_involution(elem):
 # enumeration and the crystal graph
 
 def crystal_size(ct, heights):
+    """The number of vertices, counted in closed form before any column is built.
+
+    There are C(n, k) columns of height k in type A and C(2n, k) - C(2n, k-2)
+    Kashiwara-Nakashima columns in type C.
+    """
     size = 1
-    for h in heights:
-        size *= len(columns(ct, h))
+    m = ct.alphabet_size
+    for k in heights:
+        if not 1 <= k <= ct.max_height:
+            raise ValueError(f"no columns of height {k} in {ct}")
+        size *= comb(m, k) - (comb(m, k - 2) if ct.family == "C" and k >= 2 else 0)
     return size
 
 

@@ -38,7 +38,7 @@ from .core import (
     lusztig_involution,
     phi,
 )
-from .errors import NoMatchingComponent, TargetUnreachable
+from .errors import EnergyInconsistent, NoMatchingComponent, TargetUnreachable
 
 
 def _generator(k):
@@ -213,11 +213,11 @@ def _build_h(ct, h_left, h_right, sigma):
         up, delta = e0_delta(w)
         if up is not None:
             val = hw + delta
-            if up in h:
-                assert h[up] == val, "inconsistent local energy recursion"
-            else:
+            if up not in h:
                 h[up] = val
                 queue.append(up)
+            elif h[up] != val:
+                raise EnergyInconsistent(f"H differs at {up}: {h[up]} != {val}")
         if eps0_l[wl] >= phi0_r[wr]:
             new = f0_l[wl]
             down = None if new is None else (new, wr)
@@ -227,11 +227,11 @@ def _build_h(ct, h_left, h_right, sigma):
         if down is not None:
             _, delta_down = e0_delta(down)
             val = hw - delta_down
-            if down in h:
-                assert h[down] == val, "inconsistent local energy recursion"
-            else:
+            if down not in h:
                 h[down] = val
                 queue.append(down)
+            elif h[down] != val:
+                raise EnergyInconsistent(f"H differs at {down}: {h[down]} != {val}")
         for left_maps, right_maps in plan:
             eps_l = left_maps[0][wl]
             phi_r = right_maps[1][wr]
@@ -242,11 +242,11 @@ def _build_h(ct, h_left, h_right, sigma):
                 new = right_maps[2][wr]
                 nxt = None if new is None else (wl, new)
             if nxt is not None:
-                if nxt in h:
-                    assert h[nxt] == hw, "H not classically invariant"
-                else:
+                if nxt not in h:
                     h[nxt] = hw
                     queue.append(nxt)
+                elif h[nxt] != hw:
+                    raise EnergyInconsistent(f"H differs at {nxt}: {h[nxt]} != {hw}")
             if eps_l > phi_r:
                 new = left_maps[3][wl]
                 nxt = None if new is None else (new, wr)
@@ -254,11 +254,11 @@ def _build_h(ct, h_left, h_right, sigma):
                 new = right_maps[3][wr]
                 nxt = None if new is None else (wl, new)
             if nxt is not None:
-                if nxt in h:
-                    assert h[nxt] == hw, "H not classically invariant"
-                else:
+                if nxt not in h:
                     h[nxt] = hw
                     queue.append(nxt)
+                elif h[nxt] != hw:
+                    raise EnergyInconsistent(f"H differs at {nxt}: {h[nxt]} != {hw}")
     if len(h) != len(sigma):
         raise NoMatchingComponent(
             f"affine graph of ({h_left},{h_right}) over {ct} is not connected"

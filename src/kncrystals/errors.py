@@ -38,6 +38,10 @@ class NoMatchingComponent(CrystalError):
     """No (or no unique) highest-weight partner found for the R-matrix."""
 
 
+class EnergyInconsistent(CrystalError):
+    """Two routes to the same energy value disagree; signals an internal bug."""
+
+
 class TargetUnreachable(CrystalError):
     """The grading search exhausted its moves without hitting a target."""
 

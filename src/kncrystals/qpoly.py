@@ -23,7 +23,7 @@ from .core import (
     weight,
 )
 from .energy import combinatorial_r, energy_DL
-from .errors import ShapeTooLarge, WeightMismatch
+from .errors import EnergyInconsistent, ShapeTooLarge, WeightMismatch
 
 
 def conjugate(mu):
@@ -113,7 +113,7 @@ def sort_via_rmatrix(elem):
     """Reorder the factors to weakly decreasing heights by adjacent swaps.
 
     Each swap applies the combinatorial R-matrix, so the energy D is
-    unchanged; this is asserted.
+    unchanged; this is checked, raising ``EnergyInconsistent``.
     """
     ct = elem.cartan
     before = energy_DL(elem)
@@ -126,7 +126,8 @@ def sort_via_rmatrix(elem):
                 cols[p], cols[p + 1] = combinatorial_r(ct, cols[p], cols[p + 1])
                 changed = True
     out = TensorElement(ct, tuple(cols))
-    assert energy_DL(out) == before, "the R-matrix failed to preserve D"
+    if energy_DL(out) != before:
+        raise EnergyInconsistent(f"the R-matrix changed D = {before} of {elem}")
     return out
 
 

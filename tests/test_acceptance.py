@@ -186,12 +186,12 @@ def test_criterion_10_benchmark():
     assert report.agreement  # D = -charge on every sampled element
     assert report.charge_ns_per_element > 0
     assert report.energy_warm_ns_per_element > 0
-    assert report.speedup_energy_over_charge > 0
+    assert report.energy_over_charge_ratio > 0
     assert elapsed < 120
     _report(
         10,
         f"bench heights (2,2,1,1): charge {report.charge_ns_per_element:.0f} ns/el, "
         f"warm energy {report.energy_warm_ns_per_element:.0f} ns/el, "
-        f"ratio {report.speedup_energy_over_charge:.2f}x, agreement on 10^4 samples "
+        f"ratio {report.energy_over_charge_ratio:.2f}x, agreement on 10^4 samples "
         f"({elapsed:.1f}s)",
     )

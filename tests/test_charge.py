@@ -1,3 +1,5 @@
+from importlib import import_module
+
 import pytest
 
 from kncrystals import (
@@ -15,7 +17,10 @@ from kncrystals import (
     phi,
     split_factors,
 )
-from kncrystals.errors import HeightsNotSorted, NotPartitionContent
+from kncrystals.errors import HeightsNotSorted, NotPartitionContent, OddArmSum
+
+# the package exports the function ``charge``, which shadows the module
+charge_module = import_module("kncrystals.charge")
 
 A5 = CartanType("A", 6)
 C2 = CartanType("C", 2)
@@ -129,6 +134,32 @@ def test_descent_arm_equals_selection_exhaustive():
     for ct, heights in shapes:
         for b in iter_tensor_elements(ct, heights):
             assert charge(b) == charge_via_selection(b)
+
+
+def _descents_from_cols(filling):
+    key = filling.cartan.key
+    cols, heights = filling.cols, filling.heights
+    return tuple(
+        (i + 1, j + 1)
+        for j in range(len(cols) - 1)
+        for i in range(heights[j + 1])
+        if key(cols[j][i]) > key(cols[j + 1][i])
+    )
+
+
+def test_recorded_descents_match_the_produced_columns():
+    for ct, heights in ((C3, (2, 2, 1)), (CartanType("A", 5), (3, 2, 1))):
+        for b in iter_tensor_elements(ct, heights):
+            c = circ_ord(b)
+            assert c.descents() == _descents_from_cols(c), b
+
+
+def test_descent_inside_a_split_pair_raises(monkeypatch):
+    # a right half whose only key is below the left half's forces a descent
+    # at row 1 between the columns 1 and 1' of the doubled filling
+    monkeypatch.setattr(charge_module, "_key_columns", lambda ct, col: ((2,), (1,)))
+    with pytest.raises(OddArmSum, match="inside the split pair"):
+        circ_ord(element(C2, [(1,)]))
 
 
 def test_charge_nonnegative_and_zero_iff_no_descents():

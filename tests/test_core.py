@@ -13,6 +13,7 @@ from kncrystals import (
     column_e,
     column_f,
     crystal_graph,
+    crystal_size,
     e,
     element,
     eps,
@@ -79,15 +80,16 @@ def test_pair_condition_equals_splittability():
 
 
 def test_column_counts():
-    for n in range(2, 6):
+    # crystal_size counts columns in closed form, without building them
+    for n in range(2, 7):
         ct = CartanType("C", n)
         for k in range(1, n + 1):
             expect = comb(2 * n, k) - (comb(2 * n, k - 2) if k >= 2 else 0)
-            assert len(columns(ct, k)) == expect
-    for n in range(2, 6):
+            assert len(columns(ct, k)) == expect == crystal_size(ct, (k,))
+    for n in range(2, 7):
         ct = CartanType("A", n)
         for k in range(1, n):
-            assert len(columns(ct, k)) == comb(n, k)
+            assert len(columns(ct, k)) == comb(n, k) == crystal_size(ct, (k,))
 
 
 def test_column_set_closed_and_connected():
@@ -295,6 +297,11 @@ def test_crystal_graph_edges_invert():
 def test_vertex_budget():
     with pytest.raises(ShapeTooLarge):
         tensor_elements(C3, (3, 3, 3), budget=100)
+    with pytest.raises(ShapeTooLarge):
+        tensor_elements(CartanType("A", 30), (15,))
+    for ct, k in ((C3, 0), (C3, 4), (A2, 3)):
+        with pytest.raises(ValueError):
+            crystal_size(ct, (2, k))
 
 
 def test_factor_indexing_from_right():

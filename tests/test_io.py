@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kncrystals
 from kncrystals import (
     CartanType,
     columns,
@@ -214,3 +219,33 @@ def test_cli_bench_smoke(capsys):
     assert data["agreement"] is True
     assert data["charge_ns_per_element"] > 0
     assert data["energy_warm_ns_per_element"] > 0
+    assert data["energy_over_charge_ratio"] > 0
+    assert data["schema_version"] == 2
+
+
+def _python(*args):
+    """Run a fresh interpreter on the package under test; a hang fails after 30 s."""
+    src = str(Path(kncrystals.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+def test_cli_rejects_huge_shape_before_building_columns():
+    done = _python("-m", "kncrystals.cli", "enumerate", "-t", "A", "-n", "30",
+                   "--heights", "15")
+    assert done.returncode == 2
+    assert "ShapeTooLarge" in done.stderr
+
+
+def test_cli_verify_under_optimize_flag():
+    # invariants raise CrystalError subclasses, so they survive python -O
+    done = _python("-O", "-m", "kncrystals.cli", "verify", "-t", "C", "-n", "2",
+                   "--heights", "2,1", "--json")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["passed"] is True

@@ -1,6 +1,7 @@
 import pytest
 from util import partitions_of
 
+import kncrystals.qpoly as qpoly_module
 from kncrystals import (
     CartanType,
     conjugate,
@@ -17,7 +18,7 @@ from kncrystals import (
     shape_heights,
     sort_via_rmatrix,
 )
-from kncrystals.errors import WeightMismatch
+from kncrystals.errors import EnergyInconsistent, WeightMismatch
 
 A1 = CartanType("A", 2)
 C2 = CartanType("C", 2)
@@ -148,3 +149,10 @@ def test_sort_via_rmatrix():
         s = sort_via_rmatrix(el)
         assert s.heights == (2, 2, 1)
         assert energy_DL(s) == energy_DL(el)
+
+
+def test_sort_via_rmatrix_checks_energy_without_assert(monkeypatch):
+    values = iter([0, 1])
+    monkeypatch.setattr(qpoly_module, "energy_DL", lambda b: next(values))
+    with pytest.raises(EnergyInconsistent, match="R-matrix changed D"):
+        sort_via_rmatrix(element(C3, [(1,), (2, 3)]))
