@@ -14,7 +14,10 @@ It runs on integer keys, the positions of the letters in the total order.
 Each factor's key columns (both split halves in type C) come from a table
 cached per column, and they are sorted, so the circularly smallest unused
 key from ``p`` is the first one ``>= p`` (found by bisection), or else the
-smallest one.  Descents are recorded as their cells are produced.
+smallest one.  Descents are recorded as their cells are produced.  The
+per-column step is shared with the prefix-sharing scan of
+:mod:`kncrystals.qpoly`, which runs it once per prefix instead of once per
+vertex.
 
 Both routes require the column heights to be weakly decreasing left to right;
 callers holding an unsorted element can reorder it with
@@ -26,6 +29,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import lt
 
 from .core import split_column
 from .errors import (
@@ -36,7 +40,7 @@ from .errors import (
 
 
 def _require_sorted(heights):
-    if any(a < b for a, b in zip(heights, heights[1:])):
+    if any(map(lt, heights, heights[1:])):
         raise HeightsNotSorted(f"column heights {heights} are not weakly decreasing")
 
 
@@ -141,7 +145,17 @@ class CircFilling:
         return self.descent_cells
 
     def arm(self, row, col):
-        return sum(1 for h in self.heights[col:] if h >= row)
+        return _arm_table(self.heights)[col][row]
+
+
+@lru_cache(maxsize=None)
+def _arm_table(heights):
+    """``table[col][row]``: the cells in ``row`` from column ``col`` (0-based) on."""
+    rows = range(max(heights) + 1)
+    return tuple(
+        tuple(sum(1 for h in heights[col:] if h >= row) for row in rows)
+        for col in range(len(heights))
+    )
 
 
 @lru_cache(maxsize=None)
@@ -155,6 +169,29 @@ def _key_columns(ct, col):
 def _letters(ct):
     """The letters indexed by key; index 0 is unused."""
     return (None,) + ct.alphabet()
+
+
+def _circ_column(prev, keys, j, paired):
+    """Produce column ``j`` of the circular reordering from its sorted keys.
+
+    Row i takes the unused key circularly smallest from ``prev[i]``, the
+    previous column's key in that row.  Returns the produced keys and the
+    1-based rows of the descents into the column; with ``paired`` (the right
+    half of a split pair) a descent raises ``OddArmSum``.
+    """
+    pool = list(keys)
+    produced = []
+    rows = []
+    for i, p in enumerate(prev[: len(pool)]):
+        pick = pool.pop(bisect_left(pool, p) % len(pool))
+        if p > pick:
+            if paired:
+                raise OddArmSum(
+                    f"descent inside the split pair at row {i + 1}, column {j}"
+                )
+            rows.append(i + 1)
+        produced.append(pick)
+    return produced, rows
 
 
 def circ_ord(elem):
@@ -173,19 +210,10 @@ def circ_ord(elem):
     out = [prev]
     cells = []
     for j in range(1, len(cols)):
-        pool = list(cols[j])
-        produced = []
-        for i, p in enumerate(prev[: len(pool)]):
-            pick = pool.pop(bisect_left(pool, p) % len(pool))
-            if p > pick:
-                if doubled and j % 2:
-                    raise OddArmSum(
-                        f"descent inside the split pair at row {i + 1}, column {j}"
-                    )
-                cells.append((i + 1, j))
-            produced.append(pick)
-        out.append(produced)
-        prev = produced
+        prev, rows = _circ_column(prev, cols[j], j, doubled and j % 2)
+        out.append(prev)
+        for i in rows:
+            cells.append((i, j))
     letters = _letters(ct)
     return CircFilling(
         ct,
@@ -197,7 +225,8 @@ def circ_ord(elem):
 
 
 def charge_from_filling(filling):
-    arms = sum(filling.arm(i, j) for i, j in filling.descents())
+    arm = _arm_table(filling.heights)
+    arms = sum(arm[j][i] for i, j in filling.descents())
     if not filling.doubled:
         return arms
     if arms % 2:

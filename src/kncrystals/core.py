@@ -370,11 +370,13 @@ def column_phi_weight(ct, col):
 # ---------------------------------------------------------------------------
 # tensor elements
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TensorElement:
     """A vertex of a tensor product of single-column crystals.
 
     Factors are stored left to right as canonically sorted letter tuples.
+    Slotted, so an instance carries no attribute dict: exhaustive scans
+    and query samples hold many of them.
     """
 
     cartan: CartanType
@@ -382,7 +384,7 @@ class TensorElement:
 
     @property
     def heights(self):
-        return tuple(len(c) for c in self.factors)
+        return tuple(map(len, self.factors))
 
     def factor_from_right(self, j):
         """The j-th factor counted from the right, 1-based."""
@@ -553,12 +555,18 @@ def crystal_size(ct, heights):
     return size
 
 
+def check_budget(ct, heights, budget=None):
+    """The vertex count of the shape; raises ``ShapeTooLarge`` above the budget."""
+    cap = VERTEX_BUDGET if budget is None else budget
+    size = crystal_size(ct, heights)
+    if size > cap:
+        raise ShapeTooLarge(f"{size} vertices exceed the budget {cap}")
+    return size
+
+
 def tensor_elements(ct, heights, budget=None):
     """All vertices of the tensor product with the given heights, sorted."""
-    budget = VERTEX_BUDGET if budget is None else budget
-    size = crystal_size(ct, heights)
-    if size > budget:
-        raise ShapeTooLarge(f"{size} vertices exceed the budget {budget}")
+    check_budget(ct, heights, budget)
     pools = [columns(ct, h) for h in heights]
     return [TensorElement(ct, facs) for facs in itertools.product(*pools)]
 

@@ -305,24 +305,38 @@ def tau(elem):
     return TensorElement(ct, tuple(out))
 
 
-def _sigma_pair(ct, left, right):
-    return combinatorial_r(ct, left, right)
+def _left_chain(ct, factors, q0, terms=None):
+    """The summed local energies of the D^L chain that starts at factor ``q0``.
+
+    Factors are indexed left to right from 0.  Factor ``q0`` is transported
+    leftward by the R-matrix past ``factors[q0 - 1], ..., factors[1]``, and
+    the local energy of each pair it meets is added, nearest first, and
+    appended to ``terms`` when given.  The chain reads only
+    ``factors[: q0 + 1]``.
+    """
+    q = q0
+    moving = factors[q]
+    total = 0
+    while q:
+        q -= 1
+        left = factors[q]
+        table = local_table(ct, len(left), len(moving))
+        pair = (left, moving)
+        h = table.h[pair]
+        total += h
+        if terms is not None:
+            terms.append(h)
+        if q:
+            moving = table.sigma[pair][0]
+    return total
 
 
 def energy_DL(elem):
     """Left energy: transport each factor leftward and sum local energies."""
-    ct = elem.cartan
-    n_fac = len(elem.factors)
+    ct, factors = elem.cartan, elem.factors
     total = 0
-    for q0 in range(1, n_fac):
-        c = list(elem.factors)
-        q = q0
-        while True:
-            total += local_energy(ct, c[q - 1], c[q])
-            if q == 1:
-                break
-            c[q - 1], c[q] = _sigma_pair(ct, c[q - 1], c[q])
-            q -= 1
+    for q0 in range(1, len(factors)):
+        total += _left_chain(ct, factors, q0)
     return total
 
 
@@ -337,7 +351,7 @@ def energy_DR(elem):
             total += local_energy(ct, c[q], c[q + 1])
             if q == n_fac - 2:
                 break
-            c[q], c[q + 1] = _sigma_pair(ct, c[q], c[q + 1])
+            c[q], c[q + 1] = combinatorial_r(ct, c[q], c[q + 1])
             q += 1
     return total
 
@@ -362,16 +376,10 @@ def energy_report(elem):
     n_fac = len(elem.factors)
     left_terms = {}
     for q0 in range(1, n_fac):
-        c = list(elem.factors)
-        q = q0
-        i = n_fac - q0
-        while True:
-            j = n_fac - q + 1
-            left_terms[(j, i)] = local_energy(ct, c[q - 1], c[q])
-            if q == 1:
-                break
-            c[q - 1], c[q] = _sigma_pair(ct, c[q - 1], c[q])
-            q -= 1
+        terms = []
+        _left_chain(ct, elem.factors, q0, terms)
+        for q, h in zip(range(q0, 0, -1), terms):
+            left_terms[(n_fac - q + 1, n_fac - q0)] = h
     right_terms = {}
     for q0 in range(0, n_fac - 1):
         c = list(elem.factors)
@@ -382,7 +390,7 @@ def energy_report(elem):
             right_terms[(j, i)] = local_energy(ct, c[q], c[q + 1])
             if q == n_fac - 2:
                 break
-            c[q], c[q + 1] = _sigma_pair(ct, c[q], c[q + 1])
+            c[q], c[q + 1] = combinatorial_r(ct, c[q], c[q + 1])
             q += 1
     return EnergyReport(
         elem,

@@ -12,18 +12,20 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import add
 
-from .charge import charge
+from .charge import _arm_table, _circ_column, _key_columns, _require_sorted, charge
 from .core import (
     TensorElement,
-    crystal_size,
+    check_budget,
+    column_content,
+    columns,
     is_classical_highest,
     iter_tensor_elements,
-    tensor_elements,
     weight,
 )
-from .energy import combinatorial_r, energy_DL
-from .errors import EnergyInconsistent, ShapeTooLarge, WeightMismatch
+from .energy import _left_chain, combinatorial_r, energy_DL
+from .errors import EnergyInconsistent, OddArmSum, WeightMismatch
 
 
 def conjugate(mu):
@@ -131,23 +133,93 @@ def sort_via_rmatrix(elem):
     return out
 
 
+class _PrefixScan:
+    """The state of one prefix-sharing scan; see :func:`_prefix_scan`.
+
+    A class and not nested functions: a recursive closure refers to itself
+    through its cell, and that cycle would keep the memo tables alive until
+    a full garbage collection.
+    """
+
+    def __init__(self, ct, heights, first):
+        _require_sorted(heights)
+        self.ct = ct
+        self.pools = [
+            [(col, column_content(ct, col)) for col in columns(ct, h)] for h in heights
+        ]
+        if first is not None:
+            self.pools[0] = self.pools[0][first[0] : first[1]]
+        self.halves = 2 if ct.family == "C" else 1
+        self.arm = _arm_table(tuple(h for h in heights for _ in range(self.halves)))
+        self.memos = [{} for _ in heights]
+        self.factors = [None] * len(heights)
+        self.last = len(heights) - 1
+
+    def advance(self, p, prev, col):
+        """The circular step of factor p: its last key column and arm sum."""
+        arms = 0
+        for half, keys in enumerate(_key_columns(self.ct, col)):
+            j = p * self.halves + half
+            if j == 0:
+                prev = keys
+            else:
+                produced, rows = _circ_column(prev, keys, j, half)
+                prev = tuple(produced)
+                arms += sum(self.arm[j][r] for r in rows)
+        return prev, arms
+
+    def walk(self, p, prev, arms, dl, wt):
+        """The vertices below the node that holds factors 0 to p - 1."""
+        ct, factors, halves = self.ct, self.factors, self.halves
+        memo = self.memos[p]
+        for col, content in self.pools[p]:
+            step = memo.get((prev, col))
+            if step is None:
+                step = memo[(prev, col)] = self.advance(p, prev, col)
+            factors[p] = col
+            d = dl + _left_chain(ct, factors, p)
+            w = tuple(map(add, wt, content))
+            a = arms + step[1]
+            if p < self.last:
+                yield from self.walk(p + 1, step[0], a, d, w)
+            elif a % halves:
+                raise OddArmSum(f"odd descent arm sum {a} at {factors}")
+            else:
+                yield tuple(factors), a // halves, d, w
+
+
+def _prefix_scan(ct, heights, first=None):
+    """Every vertex of the product with its charge, D^L and weight.
+
+    A depth-first walk over ``columns(ct, h_1) x ... x columns(ct, h_N)``
+    that adds one factor at a time, so the work on a prefix is shared by
+    every vertex below it.  A node carries the last key column produced by
+    the circular reordering, the descent arm sum, D^L and the weight of the
+    prefix.  Adding factor p runs the circular step on its key columns
+    (memoized per factor on the previous keys and the column) and adds the
+    one D^L chain that starts at p.  Charge and D^L stay the independent
+    routes of ``charge`` and ``energy_DL``.
+
+    ``first`` is a ``(start, stop)`` range of the first factor's columns.
+    Returns an iterator of ``(factors, charge, D^L, weight)`` in product
+    order.
+    """
+    return _PrefixScan(ct, tuple(heights), first).walk(0, None, 0, 0, (0,) * ct.n)
+
+
 def macdonald_p_q0(ct, mu, budget=None):
     """P_mu(x; q, 0) as the charge generating function over B_mu."""
     heights = shape_heights(ct, mu)
+    check_budget(ct, heights, budget)
     acc = {}
-    for b in tensor_elements(ct, heights, budget=budget):
-        key = (charge(b), weight(b))
+    for _, c, _, wt in _prefix_scan(ct, heights):
+        key = (c, wt)
         acc[key] = acc.get(key, 0) + 1
     return QXPolynomial.from_dict(acc)
 
 
 def highest_weight_elements(ct, heights, budget=None):
-    from .core import VERTEX_BUDGET
-
-    cap = VERTEX_BUDGET if budget is None else budget
-    size = crystal_size(ct, heights)
-    if size > cap:
-        raise ShapeTooLarge(f"{size} vertices exceed the budget {cap}")
+    check_budget(ct, heights, budget)
     for b in iter_tensor_elements(ct, heights):
         if is_classical_highest(b):
             yield b

@@ -7,16 +7,15 @@ routes.  The headline check is the energy/charge identity D(b) = -charge(b).
 
 from __future__ import annotations
 
-import itertools
+import os
 import time
-from multiprocessing import Pool
 
 from .charge import charge, charge_via_selection
 from .core import (
-    VERTEX_BUDGET,
     CartanType,
     TensorElement,
-    crystal_size,
+    check_budget,
+    columns,
     e,
     eps,
     f,
@@ -33,8 +32,8 @@ from .energy import (
     local_table,
     tau,
 )
-from .errors import ShapeTooLarge
 from .kyoto import cut_construction, demazure_walk, ground_states
+from .qpoly import _prefix_scan
 from .serialize import VerifyReport
 
 SUITE_NAMES = (
@@ -48,31 +47,40 @@ SUITE_NAMES = (
 )
 
 
+def _first_ranges(pool_size, jobs):
+    """Contiguous ranges of the first factor's columns, one per worker.
+
+    ``jobs`` is capped at the CPU count and at the pool size.
+    """
+    jobs = max(1, min(jobs, os.cpu_count() or 1, pool_size))
+    bounds = [pool_size * k // jobs for k in range(jobs + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
 def _theorem_chunk(args):
-    family, n, heights, start, stop = args
-    ct = CartanType(family, n)
+    ct, heights, first = args
     worst = 0
     checks = 0
-    for b in itertools.islice(iter_tensor_elements(ct, heights), start, stop):
-        worst = max(worst, abs(energy_DL(b) + charge(b)))
+    for _, c, d, _ in _prefix_scan(ct, heights, first):
+        worst = max(worst, abs(d + c))
         checks += 1
     return worst, checks
 
 
 def _suite_theorem(ct, heights, jobs=1):
-    size = crystal_size(ct, heights)
-    if jobs > 1 and size > 4 * jobs:
-        bounds = [round(size * k / jobs) for k in range(jobs + 1)]
-        tasks = [
-            (ct.family, ct.n, heights, a, b)
-            for a, b in zip(bounds, bounds[1:])
-        ]
-        with Pool(jobs) as pool:
+    ranges = _first_ranges(len(columns(ct, heights[0])), jobs)
+    tasks = [(ct, heights, r) for r in ranges]
+    if len(tasks) > 1:
+        # imported here: multiprocessing adds about 2 MB to a bare
+        # interpreter, and only --jobs needs it
+        from multiprocessing import get_context
+
+        with get_context("spawn").Pool(len(tasks)) as pool:
             parts = pool.map(_theorem_chunk, tasks)
-        worst = max(w for w, _ in parts)
-        checks = sum(c for _, c in parts)
     else:
-        worst, checks = _theorem_chunk((ct.family, ct.n, heights, 0, None))
+        parts = [_theorem_chunk(tasks[0])]
+    worst = max(w for w, _ in parts)
+    checks = sum(c for _, c in parts)
     return worst == 0, checks, worst
 
 
@@ -220,10 +228,7 @@ def _suite_kyoto(ct, heights):
 def run_verify(ct, heights, mu=None, suites=None, jobs=1, budget=None):
     """Run the selected suites over one shape and assemble a report."""
     heights = tuple(heights)
-    size = crystal_size(ct, heights)
-    cap = VERTEX_BUDGET if budget is None else budget
-    if size > cap:
-        raise ShapeTooLarge(f"{size} vertices exceed the budget {cap}")
+    size = check_budget(ct, heights, budget)
     wanted = SUITE_NAMES if suites is None else tuple(suites)
     t0 = time.perf_counter()
     report_suites = {}

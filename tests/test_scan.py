@@ -1,0 +1,99 @@
+"""The prefix-sharing scan against the per-element routes, which stay the
+oracle."""
+
+import os
+from importlib import import_module
+
+import pytest
+from util import theorem_shapes
+
+import kncrystals.qpoly as qpoly_module
+from kncrystals import (
+    CartanType,
+    charge,
+    energy_DL,
+    iter_tensor_elements,
+    local_table,
+    macdonald_p_q0,
+    run_verify,
+    shape_heights,
+    weight,
+)
+from kncrystals.errors import OddArmSum, ShapeTooLarge
+from kncrystals.qpoly import _prefix_scan, highest_weight_elements
+
+verify_module = import_module("kncrystals.verify")
+
+C2 = CartanType("C", 2)
+C3 = CartanType("C", 3)
+A5 = CartanType("A", 5)
+
+EXTRA_SHAPES = [(C3, (2, 2, 1)), (C2, (2, 1, 1, 1)), (A5, (3, 2, 1, 1))]
+
+
+def _shapes():
+    return [(ct, shape_heights(ct, mu)) for ct, mu in theorem_shapes()] + EXTRA_SHAPES
+
+
+def test_scan_matches_per_element_routes():
+    for ct, heights in _shapes():
+        want = [
+            (b.factors, charge(b), energy_DL(b), weight(b))
+            for b in iter_tensor_elements(ct, heights)
+        ]
+        assert list(_prefix_scan(ct, heights)) == want, (ct, heights)
+
+
+def test_scan_first_ranges_partition_the_product():
+    ct, heights = C3, (2, 2, 1)
+    whole = list(_prefix_scan(ct, heights))
+    parts = [list(_prefix_scan(ct, heights, r)) for r in ((0, 5), (5, 9), (9, 14))]
+    assert sum(parts, []) == whole
+
+
+def test_theorem_scan_still_compares_both_routes(monkeypatch):
+    # every vertex of C3 (2,2,1) meets the (2,2) table in its first chain
+    table = local_table(C3, 2, 2)
+    for pair, value in list(table.h.items()):
+        monkeypatch.setitem(table.h, pair, value + 1)
+    report = run_verify(C3, (2, 2, 1), suites=("theorem",))
+    assert not report.passed
+    assert report.max_discrepancy > 0
+
+
+def test_scan_descent_inside_a_split_pair_raises(monkeypatch):
+    monkeypatch.setattr(qpoly_module, "_key_columns", lambda ct, col: ((2,), (1,)))
+    with pytest.raises(OddArmSum, match="split pair"):
+        list(_prefix_scan(C2, (1,)))
+
+
+def test_budget_is_checked_before_any_scan_work(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("scan work started")
+
+    monkeypatch.setattr(qpoly_module, "_prefix_scan", fail)
+    monkeypatch.setattr(qpoly_module, "iter_tensor_elements", fail)
+    with pytest.raises(ShapeTooLarge):
+        macdonald_p_q0(C3, (2, 1), budget=10)
+    with pytest.raises(ShapeTooLarge):
+        list(highest_weight_elements(C3, (2, 1), budget=10))
+
+
+def test_first_ranges_cap_jobs(monkeypatch):
+    ranges = verify_module._first_ranges
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert ranges(27, 10**9) == [(0, 6), (6, 13), (13, 20), (20, 27)]
+    assert ranges(27, 1) == [(0, 27)]
+    assert ranges(27, 0) == [(0, 27)]
+    assert ranges(3, 10**9) == [(0, 1), (1, 2), (2, 3)]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert ranges(27, 8) == [(0, 27)]
+
+
+def test_parallel_theorem_scan_matches_serial(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    serial = run_verify(C3, (2, 2, 1), suites=("theorem",))
+    parallel = run_verify(C3, (2, 2, 1), suites=("theorem",), jobs=2)
+    assert parallel.suites == serial.suites
+    assert parallel.max_discrepancy == serial.max_discrepancy == 0
+    assert serial.suites["theorem"]["checks"] == 14 * 14 * 6
