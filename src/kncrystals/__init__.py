@@ -26,7 +26,6 @@ from .core import (
     iter_tensor_elements,
     lusztig_involution,
     phi,
-    phi_weight,
     split_column,
     tensor_elements,
     validate_column,
@@ -48,7 +47,6 @@ from .energy import (
     combinatorial_r,
     commutor,
     demazure_grading_oracle,
-    energy,
     energy_DL,
     energy_DR,
     energy_report,

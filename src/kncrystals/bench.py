@@ -6,11 +6,10 @@ import json
 import random
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .charge import charge
-from .core import columns
-from .core import TensorElement
+from .core import TensorElement, columns
 from .energy import energy_DL, local_table
 
 
@@ -27,24 +26,8 @@ class BenchReport:
     agreement: bool
 
     def to_json(self):
-        return json.dumps(
-            {
-                "cartan": self.cartan,
-                "heights": list(self.heights),
-                "trials": self.trials,
-                "repeats": self.repeats,
-                "charge_ns_per_element": round(self.charge_ns_per_element, 1),
-                "energy_warm_ns_per_element": round(
-                    self.energy_warm_ns_per_element, 1
-                ),
-                "energy_cold_seconds": round(self.energy_cold_seconds, 6),
-                "energy_over_charge_ratio": round(self.energy_over_charge_ratio, 3),
-                "agreement": self.agreement,
-                "schema_version": 2,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        doc = {**asdict(self), "schema_version": 2}
+        return json.dumps(doc, indent=2, sort_keys=True)
 
     def to_text(self):
         return "\n".join(
@@ -66,6 +49,8 @@ def run_bench(ct, heights, trials=10_000, seed=0, repeats=3):
     Every sampled element is also checked for D = -charge; the ratio is
     reported without asserting a threshold.
     """
+    if trials < 1 or repeats < 1:
+        raise ValueError(f"trials ({trials}) and repeats ({repeats}) must be >= 1")
     heights = tuple(heights)
     rng = random.Random(seed)
     pools = [columns(ct, h) for h in heights]

@@ -134,12 +134,6 @@ class CircFilling:
     cols: tuple
     descent_cells: tuple
 
-    def rows(self):
-        out = []
-        for i in range(self.heights[0] if self.heights else 0):
-            out.append(tuple(c[i] for c, h in zip(self.cols, self.heights) if h > i))
-        return tuple(out)
-
     def descents(self):
         """Cells (row, column), 1-based, whose right neighbour is smaller."""
         return self.descent_cells

@@ -29,7 +29,7 @@ operators and form a single connected component).
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from itertools import repeat
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -97,11 +97,6 @@ class CartanType:
             return letter
         return 2 * self.n + 1 + letter
 
-    def letter_at(self, key):
-        if key <= self.n:
-            return key
-        return key - (2 * self.n + 1)
-
     def istar(self, i):
         """The Lusztig dual index: n - i in type A, i in type C."""
         return self.n - i if self.family == "A" else i
@@ -152,23 +147,39 @@ def _box_e(ct, i, x):
 
 
 def _signature(pairs):
-    """Reduce the +/- word of (phi, eps) pairs listed left to right.
+    """Reduce the +/- word of (eps, phi) pairs listed left to right.
 
-    Returns (phi, eps, f_index, e_index) where the indices say which entry
+    Returns (eps, phi, f_index, e_index) where the indices say which entry
     of ``pairs`` the lowering/raising operator acts on (None if undefined).
+    Only counts are kept: an entry's '+'s first cancel the surviving '-'s,
+    the rightmost surviving '+' belongs to the last entry left with one,
+    and the leftmost surviving '-' to the entry that last pushed '-'s onto
+    an empty stack.
     """
-    plus = []
-    minus = []
-    for idx, (p, e) in enumerate(pairs):
-        for _ in range(p):
-            if minus:
-                minus.pop()
-            else:
-                plus.append(idx)
-        minus.extend([idx] * e)
-    f_idx = plus[-1] if plus else None
-    e_idx = minus[0] if minus else None
-    return len(plus), len(minus), f_idx, e_idx
+    eps = phi = 0
+    f_idx = e_idx = None
+    for idx, (e, p) in enumerate(pairs):
+        if p > eps:
+            phi += p - eps
+            f_idx = idx
+            eps = 0
+        else:
+            eps -= p
+        if e:
+            if not eps:
+                e_idx = idx
+            eps += e
+    return eps, phi, f_idx, e_idx if eps else None
+
+
+def _box_signature(ct, i, col):
+    """The boxes of a column read bottom to top, and their reduced signature."""
+    boxes = tuple(reversed(col))
+    pairs = [
+        (int(_box_e(ct, i, x) is not None), int(_box_f(ct, i, x) is not None))
+        for x in boxes
+    ]
+    return boxes, _signature(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +316,7 @@ def column_eps_phi(ct, i, col):
             eps = int(1 in col)
             phi = int(-1 in col)
         return eps, phi
-    pairs = [
-        (int(_box_f(ct, i, x) is not None), int(_box_e(ct, i, x) is not None))
-        for x in reversed(col)
-    ]
-    phi, eps, _, _ = _signature(pairs)
-    return eps, phi
+    return _box_signature(ct, i, col)[1][:2]
 
 
 @lru_cache(maxsize=None)
@@ -323,12 +329,7 @@ def column_f(ct, i, col):
         if -1 in col:
             return sort_letters(ct, [x if x != -1 else 1 for x in col])
         return None
-    boxes = tuple(reversed(col))
-    pairs = [
-        (int(_box_f(ct, i, x) is not None), int(_box_e(ct, i, x) is not None))
-        for x in boxes
-    ]
-    _, _, f_idx, _ = _signature(pairs)
+    boxes, (_, _, f_idx, _) = _box_signature(ct, i, col)
     if f_idx is None:
         return None
     new = list(boxes)
@@ -346,12 +347,7 @@ def column_e(ct, i, col):
         if 1 in col:
             return sort_letters(ct, [x if x != 1 else -1 for x in col])
         return None
-    boxes = tuple(reversed(col))
-    pairs = [
-        (int(_box_f(ct, i, x) is not None), int(_box_e(ct, i, x) is not None))
-        for x in boxes
-    ]
-    _, _, _, e_idx = _signature(pairs)
+    boxes, (_, _, _, e_idx) = _box_signature(ct, i, col)
     if e_idx is None:
         return None
     new = list(boxes)
@@ -408,68 +404,45 @@ def element(ct, cols):
     return TensorElement(ct, cols)
 
 
+def _element_signature(elem, i):
+    """(eps_i, phi_i, f_i factor, e_i factor) by the tensor rule on the columns."""
+    return _signature(map(column_eps_phi, repeat(elem.cartan), repeat(i), elem.factors))
+
+
 def eps_phi(elem, i):
     """(eps_i, phi_i), computed by closed-form signature counting."""
-    ct = elem.cartan
-    pairs = []
-    for c in elem.factors:
-        e, p = column_eps_phi(ct, i, c)
-        pairs.append((p, e))
-    phi, eps, _, _ = _signature(pairs)
-    return eps, phi
+    return _element_signature(elem, i)[:2]
 
 
 def eps(elem, i):
-    return eps_phi(elem, i)[0]
+    return _element_signature(elem, i)[0]
 
 
 def phi(elem, i):
-    return eps_phi(elem, i)[1]
+    return _element_signature(elem, i)[1]
 
 
 def eps_weight(elem):
     return tuple(eps(elem, i) for i in elem.cartan.index_set)
 
 
-def phi_weight(elem):
-    return tuple(phi(elem, i) for i in elem.cartan.index_set)
-
-
-def f_indexed(elem, i):
-    """Apply f_i; returns (new element, acting factor index) or (None, None)."""
-    ct = elem.cartan
-    pairs = []
-    for c in elem.factors:
-        e, p = column_eps_phi(ct, i, c)
-        pairs.append((p, e))
-    _, _, f_idx, _ = _signature(pairs)
-    if f_idx is None:
-        return None, None
-    new_col = column_f(ct, i, elem.factors[f_idx])
-    facs = elem.factors[:f_idx] + (new_col,) + elem.factors[f_idx + 1 :]
-    return TensorElement(ct, facs), f_idx
-
-
-def e_indexed(elem, i):
-    ct = elem.cartan
-    pairs = []
-    for c in elem.factors:
-        e, p = column_eps_phi(ct, i, c)
-        pairs.append((p, e))
-    _, _, _, e_idx = _signature(pairs)
-    if e_idx is None:
-        return None, None
-    new_col = column_e(ct, i, elem.factors[e_idx])
-    facs = elem.factors[:e_idx] + (new_col,) + elem.factors[e_idx + 1 :]
-    return TensorElement(ct, facs), e_idx
+def _act(elem, i, idx, column_op):
+    """Apply a column operator to factor ``idx``; None when ``idx`` is None."""
+    if idx is None:
+        return None
+    ct, facs = elem.cartan, elem.factors
+    new_col = column_op(ct, i, facs[idx])
+    return TensorElement(ct, facs[:idx] + (new_col,) + facs[idx + 1 :])
 
 
 def f(elem, i):
-    return f_indexed(elem, i)[0]
+    """Apply f_i; None where it is undefined."""
+    return _act(elem, i, _element_signature(elem, i)[2], column_f)
 
 
 def e(elem, i):
-    return e_indexed(elem, i)[0]
+    """Apply e_i; None where it is undefined."""
+    return _act(elem, i, _element_signature(elem, i)[3], column_e)
 
 
 def weight(elem):
@@ -567,8 +540,7 @@ def check_budget(ct, heights, budget=None):
 def tensor_elements(ct, heights, budget=None):
     """All vertices of the tensor product with the given heights, sorted."""
     check_budget(ct, heights, budget)
-    pools = [columns(ct, h) for h in heights]
-    return [TensorElement(ct, facs) for facs in itertools.product(*pools)]
+    return list(iter_tensor_elements(ct, heights))
 
 
 def iter_tensor_elements(ct, heights):
@@ -598,16 +570,3 @@ def crystal_graph(ct, heights, include_zero=True, budget=None):
                 edges.append((v, i, w))
     return CrystalGraph(ct, tuple(heights), include_zero, tuple(verts), tuple(edges))
 
-
-def classical_component(elem):
-    """All elements reachable from ``elem`` by classical operators."""
-    seen = {elem}
-    queue = deque([elem])
-    while queue:
-        cur = queue.popleft()
-        for i in cur.cartan.classical_indices:
-            for nxt in (f(cur, i), e(cur, i)):
-                if nxt is not None and nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-    return seen

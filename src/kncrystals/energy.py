@@ -340,19 +340,39 @@ def energy_DL(elem):
     return total
 
 
-def energy_DR(elem):
-    ct = elem.cartan
-    n_fac = len(elem.factors)
+def _right_chain(ct, factors, q0, terms=None):
+    """The summed local energies of the D^R chain that starts at factor ``q0``.
+
+    The mirror of :func:`_left_chain`: factor ``q0`` is transported
+    rightward by the R-matrix past ``factors[q0 + 1], ..., factors[-2]``,
+    and the local energy of each pair it meets is added, nearest first, and
+    appended to ``terms`` when given.  The chain reads only
+    ``factors[q0:]``.
+    """
+    last = len(factors) - 1
+    q = q0
+    moving = factors[q]
     total = 0
-    for q0 in range(0, n_fac - 1):
-        c = list(elem.factors)
-        q = q0
-        while True:
-            total += local_energy(ct, c[q], c[q + 1])
-            if q == n_fac - 2:
-                break
-            c[q], c[q + 1] = combinatorial_r(ct, c[q], c[q + 1])
-            q += 1
+    while q < last:
+        q += 1
+        right = factors[q]
+        table = local_table(ct, len(moving), len(right))
+        pair = (moving, right)
+        h = table.h[pair]
+        total += h
+        if terms is not None:
+            terms.append(h)
+        if q < last:
+            moving = table.sigma[pair][1]
+    return total
+
+
+def energy_DR(elem):
+    """Right energy: transport each factor rightward and sum local energies."""
+    ct, factors = elem.cartan, elem.factors
+    total = 0
+    for q0 in range(len(factors) - 1):
+        total += _right_chain(ct, factors, q0)
     return total
 
 
@@ -381,17 +401,11 @@ def energy_report(elem):
         for q, h in zip(range(q0, 0, -1), terms):
             left_terms[(n_fac - q + 1, n_fac - q0)] = h
     right_terms = {}
-    for q0 in range(0, n_fac - 1):
-        c = list(elem.factors)
-        q = q0
-        j = n_fac - q0
-        while True:
-            i = n_fac - q - 1
-            right_terms[(j, i)] = local_energy(ct, c[q], c[q + 1])
-            if q == n_fac - 2:
-                break
-            c[q], c[q + 1] = combinatorial_r(ct, c[q], c[q + 1])
-            q += 1
+    for q0 in range(n_fac - 1):
+        terms = []
+        _right_chain(ct, elem.factors, q0, terms)
+        for q, h in zip(range(q0 + 1, n_fac), terms):
+            right_terms[(n_fac - q0, n_fac - q)] = h
     return EnergyReport(
         elem,
         sum(left_terms.values()),
@@ -399,11 +413,6 @@ def energy_report(elem):
         left_terms,
         right_terms,
     )
-
-
-def energy(elem):
-    """The energy function D = D^L."""
-    return energy_DL(elem)
 
 
 def is_demazure_arrow(elem, i):

@@ -66,6 +66,10 @@ class BarredResidue(CrystalError):
     """A completed ground-state walk still contains barred letters."""
 
 
+class NotFundamental(CrystalError):
+    """A ground state's weight is not a single fundamental weight; signals a bug."""
+
+
 class WeightMismatch(CrystalError):
     """Partition sizes disagree where equality is required."""
 

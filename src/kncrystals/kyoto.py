@@ -30,7 +30,7 @@ from .core import (
     f,
 )
 from .energy import is_demazure_arrow
-from .errors import BarredResidue, NonDemazureArrow, ShapeTooLarge
+from .errors import BarredResidue, NonDemazureArrow, NotFundamental, ShapeTooLarge
 
 
 @dataclass(frozen=True)
@@ -68,9 +68,10 @@ def ground_states(ct, heights, budget=100_000):
         # chain holds b_1, b_2, ... ; factor heights are read right to left
         k = len(chain)
         if k == len(heights):
-            h = _fundamental_index(ct, column_phi_weight(ct, chain[-1]))
+            weight = column_phi_weight(ct, chain[-1])
+            h = _fundamental_index(ct, weight)
             if h is None:
-                raise AssertionError("ground state weight is not fundamental")
+                raise NotFundamental(f"ground state weight {weight} is not fundamental")
             elem = TensorElement(ct, tuple(reversed(chain)))
             out.append(GroundState(elem, h))
             if len(out) > budget:

@@ -11,6 +11,7 @@ are <= 0 and in type A they are the Kostka-Foulkes polynomials at 1/q.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from operator import add
 
@@ -81,13 +82,6 @@ class QXPolynomial:
 
     def as_dict(self):
         return dict(self.coeffs)
-
-    def q_at_one(self):
-        """Collapse q; returns content -> coefficient."""
-        out = {}
-        for (a, content), c in self.coeffs:
-            out[content] = out.get(content, 0) + c
-        return out
 
     def total(self):
         return sum(c for _, c in self.coeffs)
@@ -211,11 +205,9 @@ def macdonald_p_q0(ct, mu, budget=None):
     """P_mu(x; q, 0) as the charge generating function over B_mu."""
     heights = shape_heights(ct, mu)
     check_budget(ct, heights, budget)
-    acc = {}
-    for _, c, _, wt in _prefix_scan(ct, heights):
-        key = (c, wt)
-        acc[key] = acc.get(key, 0) + 1
-    return QXPolynomial.from_dict(acc)
+    return QXPolynomial.from_dict(
+        Counter((c, wt) for _, c, _, wt in _prefix_scan(ct, heights))
+    )
 
 
 def highest_weight_elements(ct, heights, budget=None):
@@ -223,6 +215,17 @@ def highest_weight_elements(ct, heights, budget=None):
     for b in iter_tensor_elements(ct, heights):
         if is_classical_highest(b):
             yield b
+
+
+def _graded_highest(ct, heights, target, statistic):
+    """The highest elements of weight ``target``, graded by ``statistic``."""
+    return QPolynomial.from_dict(
+        Counter(
+            statistic(b)
+            for b in highest_weight_elements(ct, heights)
+            if weight(b) == target
+        )
+    )
 
 
 def kostka_foulkes(ct, lam, mu):
@@ -236,12 +239,7 @@ def kostka_foulkes(ct, lam, mu):
     target = lam + (0,) * (ct.n - len(lam))
     if len(target) != ct.n:
         raise ValueError(f"lambda = {lam} has more than n = {ct.n} parts")
-    acc = {}
-    for b in highest_weight_elements(ct, heights):
-        if weight(b) == target:
-            a = charge(b)
-            acc[a] = acc.get(a, 0) + 1
-    return QPolynomial.from_dict(acc)
+    return _graded_highest(ct, heights, target, charge)
 
 
 def one_dim_sum_X(ct, lam, heights):
@@ -249,14 +247,8 @@ def one_dim_sum_X(ct, lam, heights):
 
     Exponents are <= 0 under the normalization D = 0 at the generators.
     """
-    heights = tuple(heights)
     target = tuple(lam) + (0,) * (ct.n - len(lam))
-    acc = {}
-    for b in highest_weight_elements(ct, heights):
-        if weight(b) == target:
-            a = energy_DL(b)
-            acc[a] = acc.get(a, 0) + 1
-    return QPolynomial.from_dict(acc)
+    return _graded_highest(ct, tuple(heights), target, energy_DL)
 
 
 def dominant_contents(ct, heights):

@@ -81,15 +81,6 @@ def graph_to_dot(graph):
     return "\n".join(lines) + "\n"
 
 
-def render_qx(poly):
-    """Sparse text form, terms sorted by (q exponent, content)."""
-    return str(poly)
-
-
-def render_q(poly):
-    return str(poly)
-
-
 @dataclass
 class VerifyReport:
     """Result of an exhaustive verification run; JSON and text carry the same data."""

@@ -26,7 +26,7 @@ from kncrystals import (
     validate_column,
     weight,
 )
-from kncrystals.core import _split_sets, iter_tensor_elements
+from kncrystals.core import _signature, _split_sets, iter_tensor_elements
 from kncrystals.errors import (
     AdmissibilityViolation,
     NotIncreasing,
@@ -210,6 +210,27 @@ def test_eps_phi_closed_form_matches_iteration():
                     cur = nxt
                     k += 1
                 assert phi(b, i) == k
+
+
+def _reduce_word(pairs):
+    """Reference: write '+'^phi '-'^eps per entry and cancel "-+" pairs."""
+    word = [(s, idx) for idx, (e_, p) in enumerate(pairs) for s in "+" * p + "-" * e_]
+    stack = []
+    for s, idx in word:
+        if s == "+" and stack and stack[-1][0] == "-":
+            stack.pop()
+        else:
+            stack.append((s, idx))
+    plus = [idx for s, idx in stack if s == "+"]
+    minus = [idx for s, idx in stack if s == "-"]
+    return len(minus), len(plus), plus[-1] if plus else None, minus[0] if minus else None
+
+
+def test_signature_matches_the_reduced_word():
+    entries = list(itertools.product(range(3), repeat=2))
+    for n in range(1, 4):
+        for pairs in itertools.product(entries, repeat=n):
+            assert _signature(pairs) == _reduce_word(pairs), pairs
 
 
 def test_phi_minus_eps_is_weight_pairing():

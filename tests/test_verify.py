@@ -1,0 +1,108 @@
+"""The verification suites: check counts, failing second routes, input guards."""
+
+import pytest
+
+import kncrystals.kyoto as kyoto_module
+import kncrystals.verify as verify_module
+from kncrystals import (
+    CartanType,
+    element,
+    energy_DL,
+    energy_DR,
+    energy_report,
+    ground_states,
+    iter_tensor_elements,
+    local_energy,
+    run_verify,
+)
+from kncrystals.cli import main
+from kncrystals.errors import CrystalError, NotFundamental
+
+A3 = CartanType("A", 3)
+C2 = CartanType("C", 2)
+C3 = CartanType("C", 3)
+A5 = CartanType("A", 6)
+
+PINNED_CHECKS = {
+    C2: {"theorem": 20, "charge": 43, "energy": 24, "rmatrix": 417,
+         "involution": 41, "oracle": 20, "kyoto": 2},
+    A3: {"theorem": 9, "charge": 18, "energy": 11, "rmatrix": 188,
+         "involution": 17, "oracle": 9, "kyoto": 2},
+}
+
+
+@pytest.mark.parametrize("ct", [C2, A3], ids=str)
+def test_every_suite_check_count_is_pinned(ct):
+    report = run_verify(ct, (2, 1))
+    assert report.passed
+    assert {name: s["checks"] for name, s in report.suites.items()} == PINNED_CHECKS[ct]
+
+
+# For each generator suite, a second route patched in ``kncrystals.verify``
+# so that it disagrees with the first.
+BROKEN_ROUTES = [
+    ("charge", "charge_via_selection", lambda b: -1),
+    ("energy", "energy_DR", lambda b: 10**6),
+    ("rmatrix", "commutor", lambda ct, l, r: (r, l, l)),
+    ("involution", "e", lambda b, i: None),
+    ("oracle", "demazure_grading_oracle", lambda b: (b, 1)),
+    ("kyoto", "cut_construction", lambda g: None),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, attr, broken", BROKEN_ROUTES, ids=[suite for suite, _, _ in BROKEN_ROUTES]
+)
+def test_a_disagreeing_second_route_fails_the_suite(monkeypatch, suite, attr, broken):
+    monkeypatch.setattr(verify_module, attr, broken)
+    report = run_verify(C2, (2, 1), suites=(suite,))
+    assert report.suites[suite]["passed"] is False
+    assert report.suites[suite]["checks"] == PINNED_CHECKS[C2][suite]
+    assert not report.passed
+
+
+def _theorem_must_not_run(*args, **kwargs):
+    raise AssertionError("a suite ran before the suite names were checked")
+
+
+def test_unknown_suite_rejected_before_any_suite_runs(monkeypatch):
+    monkeypatch.setattr(verify_module, "_suite_theorem", _theorem_must_not_run)
+    with pytest.raises(ValueError, match="bogus"):
+        run_verify(C2, (2, 1), suites=("theorem", "bogus"))
+
+
+def test_cli_unknown_suite_exits_2_before_any_suite_runs(monkeypatch, capsys):
+    monkeypatch.setattr(verify_module, "_suite_theorem", _theorem_must_not_run)
+    rc = main(["verify", "-t", "C", "-n", "2", "--heights", "2,1",
+               "--suites", "theorem,bogus"])
+    assert rc == 2
+    assert "bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--trials", "--repeats"])
+def test_cli_bench_rejects_zero_samples(capsys, flag):
+    rc = main(["bench", "-t", "C", "-n", "2", "--mu", "2,1", flag, "0"])
+    assert rc == 2
+    assert "ValueError" in capsys.readouterr().err
+
+
+def test_ground_state_with_non_fundamental_weight_raises(monkeypatch, capsys):
+    monkeypatch.setattr(kyoto_module, "_fundamental_index", lambda ct, coeffs: None)
+    with pytest.raises(NotFundamental) as info:
+        ground_states(C2, (2, 1))
+    assert isinstance(info.value, CrystalError)
+    assert main(["ground-states", "-t", "C", "-n", "2", "--heights", "2,1"]) == 2
+    assert "NotFundamental" in capsys.readouterr().err
+
+
+def test_energy_report_right_half_matches_energy_dr():
+    for b in iter_tensor_elements(C3, (2, 2, 1)):
+        rep = energy_report(b)
+        assert (rep.d_left, rep.d_right) == (energy_DL(b), energy_DR(b))
+    b = element(A5, [(3, 5, 6), (2, 3, 4), (1, 2, 4), (2,)])
+    rep = energy_report(b)
+    assert set(rep.right_terms) == {(j, i) for j in range(1, 5) for i in range(1, j)}
+    for j in range(2, 5):
+        # the first pair of each chain is the untransported adjacent pair
+        adjacent = local_energy(A5, b.factor_from_right(j), b.factor_from_right(j - 1))
+        assert rep.right_terms[(j, j - 1)] == adjacent
