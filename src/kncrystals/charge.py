@@ -14,10 +14,13 @@ It runs on integer keys, the positions of the letters in the total order.
 Each factor's key columns (both split halves in type C) come from a table
 cached per column, and they are sorted, so the circularly smallest unused
 key from ``p`` is the first one ``>= p`` (found by bisection), or else the
-smallest one.  Descents are recorded as their cells are produced.  The
-per-column step is shared with the prefix-sharing scan of
-:mod:`kncrystals.qpoly`, which runs it once per prefix instead of once per
-vertex.
+smallest one.  Descents are recorded as their cells are produced, and
+``charge`` adds up their arms in the same pass, factor by factor; no
+filling is built and no key is turned back into a letter.  That per-factor
+step is shared with the prefix-sharing scan of :mod:`kncrystals.qpoly`,
+which runs it once per prefix instead of once per vertex.  Only
+:func:`circ_ord`, which returns the reordered filling for display and for
+the tests, maps keys back to letters, in closed form.
 
 Both routes require the column heights to be weakly decreasing left to right;
 callers holding an unsorted element can reorder it with
@@ -143,8 +146,12 @@ class CircFilling:
 
 
 @lru_cache(maxsize=None)
-def _arm_table(heights):
-    """``table[col][row]``: the cells in ``row`` from column ``col`` (0-based) on."""
+def _arm_table(heights, copies=1):
+    """``table[col][row]``: the cells in ``row`` from column ``col`` (0-based) on.
+
+    Every height is repeated ``copies`` times, once per split half.
+    """
+    heights = tuple(h for h in heights for _ in range(copies))
     rows = range(max(heights) + 1)
     return tuple(
         tuple(sum(1 for h in heights[col:] if h >= row) for row in rows)
@@ -157,12 +164,6 @@ def _key_columns(ct, col):
     """The key tuples of a factor: its two split halves in type C, else itself."""
     halves = split_column(ct, col) if ct.family == "C" else (col,)
     return tuple(tuple(ct.key(x) for x in half) for half in halves)
-
-
-@lru_cache(maxsize=None)
-def _letters(ct):
-    """The letters indexed by key; index 0 is unused."""
-    return (None,) + ct.alphabet()
 
 
 def _circ_column(prev, keys, j, paired):
@@ -188,6 +189,34 @@ def _circ_column(prev, keys, j, paired):
     return produced, rows
 
 
+def _circ_factor(prev, halves, j, arm):
+    """The circular step of one factor, from its key columns ``halves``.
+
+    ``j`` is the index of the factor's first column in the (doubled)
+    filling, ``prev`` the key column produced just before it (unused when
+    ``j`` is 0) and ``arm`` the arm table of the filling.  Returns the last
+    produced key column and the arm sum of the descents into the factor.
+    """
+    arms = 0
+    for c, keys in enumerate(halves, start=j):
+        if c:
+            produced, rows = _circ_column(prev, keys, c, c - j)
+            prev = tuple(produced)
+            arm_col = arm[c]
+            for r in rows:
+                arms += arm_col[r]
+        else:
+            prev = keys
+    return prev, arms
+
+
+def _halve(arms, halves, where):
+    """The charge from an arm sum over ``halves`` columns per factor."""
+    if arms % halves:
+        raise OddArmSum(f"odd descent arm sum {arms} at {where}")
+    return arms // halves
+
+
 def circ_ord(elem):
     """Reorder a filling column by column against the circular order.
 
@@ -208,12 +237,13 @@ def circ_ord(elem):
         out.append(prev)
         for i in rows:
             cells.append((i, j))
-    letters = _letters(ct)
+    # keys 1..n are the letters 1..n; key 2n + 1 - z is the barred letter z
+    top, shift = ct.n, 2 * ct.n + 1
     return CircFilling(
         ct,
         doubled,
         tuple(len(c) for c in cols),
-        tuple(tuple(map(letters.__getitem__, c)) for c in out),
+        tuple(tuple(k if k <= top else k - shift for k in c) for c in out),
         tuple(cells),
     )
 
@@ -221,16 +251,26 @@ def circ_ord(elem):
 def charge_from_filling(filling):
     arm = _arm_table(filling.heights)
     arms = sum(arm[j][i] for i, j in filling.descents())
-    if not filling.doubled:
-        return arms
-    if arms % 2:
-        raise OddArmSum(f"odd descent arm sum {arms} on a doubled filling")
-    return arms // 2
+    return _halve(arms, 2 if filling.doubled else 1, filling.cols)
 
 
 def charge(elem):
-    """The charge statistic; equal to minus the energy D."""
-    return charge_from_filling(circ_ord(elem))
+    """The charge statistic; equal to minus the energy D.
+
+    One pass over the key columns that sums the descent arms as it goes.
+    """
+    ct = elem.cartan
+    heights = elem.heights
+    _require_sorted(heights)
+    halves = 2 if ct.family == "C" else 1
+    arm = _arm_table(heights, halves)
+    prev = None
+    arms = j = 0
+    for col in elem.factors:
+        prev, a = _circ_factor(prev, _key_columns(ct, col), j, arm)
+        arms += a
+        j += halves
+    return _halve(arms, halves, elem.factors)
 
 
 def _selection_charge(word, paired):

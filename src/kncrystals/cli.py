@@ -71,12 +71,14 @@ def cmd_energy(args):
 
 def cmd_enumerate(args):
     ct = _cartan(args)
+    if args.limit is not None and args.limit < 0:
+        raise ValueError(f"--limit must be at least 0, got {args.limit}")
     from .core import tensor_elements
 
     elems = tensor_elements(ct, _heights(args, ct))
     elems.sort(key=lambda b: b.sort_key())
     print(len(elems))
-    for b in elems[: args.limit] if args.limit else elems:
+    for b in elems if args.limit is None else elems[: args.limit]:
         print(serialize_filling(b))
     return 0
 
@@ -165,7 +167,8 @@ def build_parser():
 
     p = subs.add_parser("enumerate", help="list the vertices of a shape")
     _add_shape_options(p, mu_required=True)
-    p.add_argument("--limit", type=int, help="print at most this many elements")
+    p.add_argument("--limit", type=int,
+                   help="print at most this many elements (0: only the count)")
     p.set_defaults(func=cmd_enumerate)
 
     p = subs.add_parser("ground-states", help="enumerate ground states")

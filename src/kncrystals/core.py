@@ -29,10 +29,10 @@ operators and form a single connected component).
 from __future__ import annotations
 
 import itertools
+import math
 from itertools import repeat
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 
 from .errors import (
     AdmissibilityViolation,
@@ -61,6 +61,13 @@ class CartanType:
             raise ValueError(f"unsupported family {self.family!r}")
         if self.n < 2:
             raise ValueError("rank parameter n must be at least 2")
+        # every cache lookup hashes the type, so the hash is computed once;
+        # from ints only, so it is the same in every interpreter, which keeps
+        # a pickled copy (sent to a --jobs worker) consistent with fresh ones
+        object.__setattr__(self, "_hash", hash((self.n, self.family == "C")))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def classical_indices(self):
@@ -201,8 +208,8 @@ def is_admissible(ct, letters):
         return False
     if ct.family == "C":
         pos = {x: p for p, x in enumerate(letters, start=1)}
-        for z in range(1, ct.n + 1):
-            if z in pos and -z in pos and pos[-z] - pos[z] <= k - z:
+        for z, p in pos.items():
+            if z > 0 and -z in pos and pos[-z] - p <= k - z:
                 return False
     return True
 
@@ -229,9 +236,10 @@ def validate_column(ct, letters):
         )
     if ct.family == "C":
         pos = {x: p for p, x in enumerate(letters, start=1)}
-        for z in range(1, ct.n + 1):
-            if z in pos and -z in pos:
-                gap = pos[-z] - pos[z]
+        # the letters, not 1..n: the check must not grow with the rank
+        for z, p in pos.items():
+            if z > 0 and -z in pos:
+                gap = pos[-z] - p
                 if gap <= k - z:
                     raise AdmissibilityViolation(
                         f"pair ({z}, {z}-bar) at distance {gap} <= {k - z} = k - z",
@@ -287,8 +295,7 @@ def split_column(ct, col):
 @lru_cache(maxsize=None)
 def columns(ct, k):
     """All admissible columns of height k, sorted."""
-    if not 1 <= k <= ct.max_height:
-        raise ValueError(f"no columns of height {k} in {ct}")
+    check_budget(ct, (k,))
     found = [
         c
         for c in itertools.combinations(ct.alphabet(), k)
@@ -513,27 +520,60 @@ def lusztig_involution(elem):
 # ---------------------------------------------------------------------------
 # enumeration and the crystal graph
 
-def crystal_size(ct, heights):
-    """The number of vertices, counted in closed form before any column is built.
+def _column_count(ct, k, cap):
+    """The number of columns of height k, or a number above ``cap`` past it.
 
-    There are C(n, k) columns of height k in type A and C(2n, k) - C(2n, k-2)
-    Kashiwara-Nakashima columns in type C.
+    There are C(m, k) columns of height k in type A and C(m, k) - C(m, k - 2)
+    Kashiwara-Nakashima columns in type C, over an alphabet of m letters.
+    C(m, t) is built up t by t, and it grows with t up to m / 2, so past
+    the cap the count stops: the cost is about log2(cap) steps however
+    large the rank.  In type C, with k <= n = m / 2, C(m, k - 2) is at most
+    1 - 2 / (n + 2) of C(m, k), so a C(m, k) above cap * (n + 2) leaves more
+    than ``cap`` columns.
     """
-    size = 1
     m = ct.alphabet_size
+    if ct.family == "C":
+        cap *= ct.n + 2
+    c = 1
+    for t in range(min(k, m - k)):
+        c = c * (m - t) // (t + 1)
+        if c > cap:
+            break
+    if ct.family == "A":
+        return c
+    return c - c * k * (k - 1) // ((m - k + 2) * (m - k + 1))
+
+
+def _capped_size(ct, heights, cap):
+    """The vertex count, or a number above ``cap`` as soon as the count passes it."""
     for k in heights:
         if not 1 <= k <= ct.max_height:
             raise ValueError(f"no columns of height {k} in {ct}")
-        size *= comb(m, k) - (comb(m, k - 2) if ct.family == "C" and k >= 2 else 0)
+    size = 1
+    for k in heights:
+        size *= _column_count(ct, k, cap)
+        if size > cap:
+            break
     return size
 
 
+def crystal_size(ct, heights):
+    """The number of vertices, counted in closed form before any column is built."""
+    return _capped_size(ct, heights, math.inf)
+
+
 def check_budget(ct, heights, budget=None):
-    """The vertex count of the shape; raises ``ShapeTooLarge`` above the budget."""
+    """The vertex count of the shape; raises ``ShapeTooLarge`` above the budget.
+
+    The count stops as soon as it passes the budget, so the check is cheap
+    for any rank and any number of factors.
+    """
     cap = VERTEX_BUDGET if budget is None else budget
-    size = crystal_size(ct, heights)
+    size = _capped_size(ct, heights, cap)
     if size > cap:
-        raise ShapeTooLarge(f"{size} vertices exceed the budget {cap}")
+        raise ShapeTooLarge(
+            f"heights {tuple(heights)} of {ct} have more than {cap} vertices (the budget)"
+        )
     return size
 
 

@@ -10,6 +10,16 @@ left factor both before and after the R-matrix (LL), by +1 when acting on the
 right in both (RR), and is constant otherwise, normalized to 0 at the tensor
 product of the two generator columns.
 
+Both walks run over integer codes.  A column's code is its position in
+``columns(ct, h)``, so the generator is 0, and a pair of columns has the
+code ``l * |B_right| + r``.  Per (type, height, index) the column data are
+flat tuples by code: eps, phi, and the codes of the f and e targets, -1
+where the operator is undefined.  Only when a walk is done are its results turned
+into the tuple-keyed dicts of :class:`LocalEnergyTable`, in visit order,
+from one cached tuple of pair keys per (type, left height, right height):
+H reuses the keys of sigma, and the values of sigma are the keys of the
+swapped table.
+
 Both tables are memoized per (cartan type, left height, right height) and are
 immutable once built, so concurrent readers are safe; rebuilding a table is
 idempotent.
@@ -24,10 +34,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 from .core import (
     DEMAZURE_LEVEL,
     TensorElement,
+    check_budget,
     column_content,
     column_e,
     column_eps_phi,
@@ -41,51 +53,34 @@ from .core import (
 from .errors import EnergyInconsistent, NoMatchingComponent, TargetUnreachable
 
 
-def _generator(k):
-    return tuple(range(1, k + 1))
-
-
-def _pair(ct, left, right):
-    return TensorElement(ct, (left, right))
-
-
 # On a pair the signature rule collapses to the textbook comparison: f acts
 # on the left factor iff eps(left) >= phi(right), e acts on the left iff
 # eps(left) > phi(right); an undefined action on the chosen side kills the
 # result.  The table builders walk tens of thousands of pairs, so per-column
-# data is flattened into plain dicts once per (type, height, index).
+# data is flattened into tuples by code once per (type, height, index).
 
 @lru_cache(maxsize=None)
-def _column_maps(ct, h, i):
-    """(eps, phi, f, e) of every height-h column under index i, as dicts."""
-    eps_m = {}
-    phi_m = {}
-    f_m = {}
-    e_m = {}
-    for c in columns(ct, h):
-        eps_m[c], phi_m[c] = column_eps_phi(ct, i, c)
-        f_m[c] = column_f(ct, i, c)
-        e_m[c] = column_e(ct, i, c)
-    return eps_m, phi_m, f_m, e_m
+def _column_codes(ct, h, i):
+    """(eps, phi, f, e) of every height-h column under index i, indexed by code.
 
-
-def _highest_pairs(ct, h_left, h_right):
-    """Classical highest elements of B^{h_left,1} (x) B^{h_right,1}.
-
-    These are exactly x (x) v where v is the generator of the right factor
-    and eps_i(x) <= phi_i(v) = [i == h_right] for all classical i.
+    f and e hold the code of the target column, or -1 where undefined.
     """
-    v = _generator(h_right)
-    out = []
-    for x in columns(ct, h_left):
-        ok = True
-        for i in ct.classical_indices:
-            if column_eps_phi(ct, i, x)[0] > (1 if i == h_right else 0):
-                ok = False
-                break
-        if ok:
-            out.append(_pair(ct, x, v))
-    return out
+    cols = columns(ct, h)
+    code = {c: k for k, c in enumerate(cols)}
+    code[None] = -1
+    eps_t, phi_t = zip(*(column_eps_phi(ct, i, c) for c in cols))
+    return (
+        eps_t,
+        phi_t,
+        tuple(code[column_f(ct, i, c)] for c in cols),
+        tuple(code[column_e(ct, i, c)] for c in cols),
+    )
+
+
+@lru_cache(maxsize=None)
+def _pair_keys(ct, h_left, h_right):
+    """Every pair of columns, indexed by its code ``l * |B_right| + r``."""
+    return tuple(product(columns(ct, h_left), columns(ct, h_right)))
 
 
 @dataclass(frozen=True)
@@ -99,177 +94,208 @@ class LocalEnergyTable:
     h: dict  # (left, right) -> int
 
 
-def _build_sigma(ct, h_left, h_right):
-    gen_left = _generator(h_left)
-    want_eps = {i: (1 if i == h_left else 0) for i in ct.classical_indices}
-    swapped_candidates = {}
-    for x in columns(ct, h_right):
-        if all(column_eps_phi(ct, i, x)[0] <= want_eps[i] for i in ct.classical_indices):
-            key = tuple(
-                a + b for a, b in zip(column_content(ct, x), column_content(ct, gen_left))
-            )
-            swapped_candidates.setdefault(key, []).append(x)
+def _highest_codes(ct, h, h_other):
+    """Codes of the columns x with x (x) generator(h_other) classically highest.
 
-    sigma = {}
-    # per classical index: maps for the pair's factors and for the image's
-    # (the image lives in the swapped product, so its heights are reversed)
+    These are the x with eps_i(x) <= phi_i(generator) = [i == h_other] for
+    every classical i; they are listed by code, with their weights.
+    """
+    gen_content = column_content(ct, columns(ct, h_other)[0])
+    eps_by_index = [
+        (_column_codes(ct, h, i)[0], int(i == h_other)) for i in ct.classical_indices
+    ]
+    out = []
+    for x, col in enumerate(columns(ct, h)):
+        if all(eps_l[x] <= bound for eps_l, bound in eps_by_index):
+            wt = tuple(a + b for a, b in zip(column_content(ct, col), gen_content))
+            out.append((x, wt))
+    return out
+
+
+def _build_sigma(ct, h_left, h_right):
+    """sigma by code: the pair codes in visit order and the image code of each.
+
+    The image of a pair lives in the swapped product, so its code is
+    ``l' * |B_left| + r'``.  Each classical component is walked in lockstep
+    with its image from the matching highest elements.
+    """
+    n_left, n_right = len(columns(ct, h_left)), len(columns(ct, h_right))
+    swapped_candidates = {}
+    for x, wt in _highest_codes(ct, h_right, h_left):
+        swapped_candidates.setdefault(wt, []).append(x * n_left)
+
+    image = [-1] * (n_left * n_right)
+    order = []
+    # per classical index: the maps of the left height, then of the right
+    # height; the image's factors have the heights reversed
     plan = [
-        (
-            _column_maps(ct, h_left, i),
-            _column_maps(ct, h_right, i),
-            _column_maps(ct, h_right, i),
-            _column_maps(ct, h_left, i),
-        )
+        _column_codes(ct, h_left, i)[:3] + _column_codes(ct, h_right, i)[:3]
         for i in ct.classical_indices
     ]
-    for u in _highest_pairs(ct, h_left, h_right):
-        wt = tuple(
-            a + b
-            for a, b in zip(
-                column_content(ct, u.factors[0]), column_content(ct, u.factors[1])
-            )
-        )
+    for x, wt in _highest_codes(ct, h_left, h_right):
         matches = swapped_candidates.get(wt, [])
         if len(matches) != 1:
             raise NoMatchingComponent(
                 f"{len(matches)} highest elements of weight {wt} in the swap of "
                 f"({h_left},{h_right}) over {ct}"
             )
-        # walk the component in lockstep
-        pair = u.factors
-        image = (matches[0], gen_left)
-        sigma[pair] = image
-        queue = deque([(pair, image)])
-        while queue:
-            (al, ar), (bl, br) = queue.popleft()
-            for left_maps, right_maps, img_left, img_right in plan:
-                if left_maps[0][al] >= right_maps[1][ar]:
-                    new = left_maps[2][al]
-                    fa = None if new is None else (new, ar)
+        start = x * n_right
+        image[start] = matches[0]
+        queue = [start]
+        for p in queue:
+            al, ar = divmod(p, n_right)
+            bl, br = divmod(image[p], n_left)
+            for eps_l, phi_l, f_l, eps_r, phi_r, f_r in plan:
+                if eps_l[al] >= phi_r[ar]:
+                    t = f_l[al]
+                    fa = -1 if t < 0 else t * n_right + ar
                 else:
-                    new = right_maps[2][ar]
-                    fa = None if new is None else (al, new)
-                if img_left[0][bl] >= img_right[1][br]:
-                    new = img_left[2][bl]
-                    fb = None if new is None else (new, br)
+                    t = f_r[ar]
+                    fa = -1 if t < 0 else al * n_right + t
+                if eps_r[bl] >= phi_l[br]:
+                    t = f_r[bl]
+                    fb = -1 if t < 0 else t * n_left + br
                 else:
-                    new = img_right[2][br]
-                    fb = None if new is None else (bl, new)
-                if (fa is None) != (fb is None):
+                    t = f_l[br]
+                    fb = -1 if t < 0 else bl * n_left + t
+                if (fa < 0) != (fb < 0):
                     raise NoMatchingComponent(
-                        f"component walk out of step at {(al, ar)}"
+                        f"component walk out of step at "
+                        f"{_pair_keys(ct, h_left, h_right)[p]}"
                     )
-                if fa is not None and fa not in sigma:
-                    sigma[fa] = fb
-                    queue.append((fa, fb))
-    expected = len(columns(ct, h_left)) * len(columns(ct, h_right))
-    if len(sigma) != expected:
+                if fa >= 0 and image[fa] < 0:
+                    image[fa] = fb
+                    queue.append(fa)
+        order += queue
+    if len(order) != len(image):
         raise NoMatchingComponent(
-            f"sigma table covers {len(sigma)} of {expected} elements for "
+            f"sigma table covers {len(order)} of {len(image)} elements for "
             f"({h_left},{h_right}) over {ct}"
         )
-    return sigma
+    return order, image
 
 
-def _build_h(ct, h_left, h_right, sigma):
-    """Affine BFS from the generator pair, applying the LL/RR recursion."""
-    eps0_l, phi0_l, f0_l, e0_l = _column_maps(ct, h_left, 0)
-    eps0_r, phi0_r, f0_r, e0_r = _column_maps(ct, h_right, 0)
+def _build_h(ct, h_left, h_right, image):
+    """Affine BFS from the generator pair, applying the LL/RR recursion.
 
-    def e0_side(left, right):
-        """(raised pair, acting side) or (None, None); heights inferred."""
-        eps_l = eps0_l[left] if len(left) == h_left else eps0_r[left]
-        phi_r = phi0_r[right] if len(right) == h_right else phi0_l[right]
-        if eps_l > phi_r:
-            new = (e0_l if len(left) == h_left else e0_r)[left]
-            return (None, None) if new is None else ((new, right), 0)
-        new = (e0_r if len(right) == h_right else e0_l)[right]
-        return (None, None) if new is None else ((left, new), 1)
+    ``image`` is the sigma image code of every pair code.  Returns the pair
+    codes in visit order and the H value of each.
+    """
+    n_left, n_right = len(columns(ct, h_left)), len(columns(ct, h_right))
+    keys = _pair_keys(ct, h_left, h_right)
+    eps0_l, phi0_l, f0_l, e0_l = _column_codes(ct, h_left, 0)
+    eps0_r, phi0_r, f0_r, e0_r = _column_codes(ct, h_right, 0)
 
-    def e0_delta(pair):
-        up, side = e0_side(*pair)
-        if up is None:
-            return None, None
-        s_up, s_side = e0_side(*sigma[pair])
-        if s_up is None:
-            raise NoMatchingComponent(f"e_0 undefined on the sigma image of {pair}")
-        if side == 0 and s_side == 0:
-            return up, -1
-        if side == 1 and s_side == 1:
-            return up, 1
+    def e0_delta(p):
+        """(code of e_0 p, change of H along that edge), or (-1, 0)."""
+        al, ar = divmod(p, n_right)
+        if eps0_l[al] > phi0_r[ar]:
+            t = e0_l[al]
+            if t < 0:
+                return -1, 0
+            up, side = t * n_right + ar, 0
+        else:
+            t = e0_r[ar]
+            if t < 0:
+                return -1, 0
+            up, side = al * n_right + t, 1
+        # the image's left factor has the right height and vice versa
+        bl, br = divmod(image[p], n_left)
+        if eps0_r[bl] > phi0_l[br]:
+            s_up, s_side = e0_r[bl], 0
+        else:
+            s_up, s_side = e0_l[br], 1
+        if s_up < 0:
+            raise NoMatchingComponent(f"e_0 undefined on the sigma image of {keys[p]}")
+        if side == s_side:
+            return up, 2 * side - 1
         return up, 0
 
+    def differs(q, old, val):
+        return EnergyInconsistent(f"H differs at {keys[q]}: {old} != {val}")
+
     plan = [
-        (_column_maps(ct, h_left, i), _column_maps(ct, h_right, i))
+        _column_codes(ct, h_left, i) + _column_codes(ct, h_right, i)
         for i in ct.classical_indices
     ]
-    start = (_generator(h_left), _generator(h_right))
-    h = {start: 0}
-    queue = deque([start])
-    while queue:
-        w = queue.popleft()
-        wl, wr = w
-        hw = h[w]
+    hv = [None] * len(image)
+    hv[0] = 0
+    queue = [0]
+    for w in queue:
+        wl, wr = divmod(w, n_right)
+        hw = hv[w]
         up, delta = e0_delta(w)
-        if up is not None:
+        if up >= 0:
             val = hw + delta
-            if up not in h:
-                h[up] = val
+            old = hv[up]
+            if old is None:
+                hv[up] = val
                 queue.append(up)
-            elif h[up] != val:
-                raise EnergyInconsistent(f"H differs at {up}: {h[up]} != {val}")
+            elif old != val:
+                raise differs(up, old, val)
         if eps0_l[wl] >= phi0_r[wr]:
-            new = f0_l[wl]
-            down = None if new is None else (new, wr)
+            t = f0_l[wl]
+            down = -1 if t < 0 else t * n_right + wr
         else:
-            new = f0_r[wr]
-            down = None if new is None else (wl, new)
-        if down is not None:
-            _, delta_down = e0_delta(down)
-            val = hw - delta_down
-            if down not in h:
-                h[down] = val
+            t = f0_r[wr]
+            down = -1 if t < 0 else wl * n_right + t
+        if down >= 0:
+            back, delta = e0_delta(down)
+            if back != w:
+                raise EnergyInconsistent(f"e_0 does not undo f_0 at {keys[w]}")
+            val = hw - delta
+            old = hv[down]
+            if old is None:
+                hv[down] = val
                 queue.append(down)
-            elif h[down] != val:
-                raise EnergyInconsistent(f"H differs at {down}: {h[down]} != {val}")
-        for left_maps, right_maps in plan:
-            eps_l = left_maps[0][wl]
-            phi_r = right_maps[1][wr]
-            if eps_l >= phi_r:
-                new = left_maps[2][wl]
-                nxt = None if new is None else (new, wr)
+            elif old != val:
+                raise differs(down, old, val)
+        for eps_l, phi_l, f_l, e_l, eps_r, phi_r, f_r, e_r in plan:
+            a = eps_l[wl]
+            b = phi_r[wr]
+            if a >= b:
+                t = f_l[wl]
+                nxt = -1 if t < 0 else t * n_right + wr
             else:
-                new = right_maps[2][wr]
-                nxt = None if new is None else (wl, new)
-            if nxt is not None:
-                if nxt not in h:
-                    h[nxt] = hw
+                t = f_r[wr]
+                nxt = -1 if t < 0 else wl * n_right + t
+            if nxt >= 0:
+                old = hv[nxt]
+                if old is None:
+                    hv[nxt] = hw
                     queue.append(nxt)
-                elif h[nxt] != hw:
-                    raise EnergyInconsistent(f"H differs at {nxt}: {h[nxt]} != {hw}")
-            if eps_l > phi_r:
-                new = left_maps[3][wl]
-                nxt = None if new is None else (new, wr)
+                elif old != hw:
+                    raise differs(nxt, old, hw)
+            if a > b:
+                t = e_l[wl]
+                nxt = -1 if t < 0 else t * n_right + wr
             else:
-                new = right_maps[3][wr]
-                nxt = None if new is None else (wl, new)
-            if nxt is not None:
-                if nxt not in h:
-                    h[nxt] = hw
+                t = e_r[wr]
+                nxt = -1 if t < 0 else wl * n_right + t
+            if nxt >= 0:
+                old = hv[nxt]
+                if old is None:
+                    hv[nxt] = hw
                     queue.append(nxt)
-                elif h[nxt] != hw:
-                    raise EnergyInconsistent(f"H differs at {nxt}: {h[nxt]} != {hw}")
-    if len(h) != len(sigma):
+                elif old != hw:
+                    raise differs(nxt, old, hw)
+    if len(queue) != len(image):
         raise NoMatchingComponent(
             f"affine graph of ({h_left},{h_right}) over {ct} is not connected"
         )
-    return h
+    return queue, hv
 
 
 @lru_cache(maxsize=None)
 def local_table(ct, h_left, h_right):
-    sigma = _build_sigma(ct, h_left, h_right)
-    h = _build_h(ct, h_left, h_right, sigma)
+    check_budget(ct, (h_left, h_right))
+    keys = _pair_keys(ct, h_left, h_right)
+    image_keys = _pair_keys(ct, h_right, h_left)
+    order, image = _build_sigma(ct, h_left, h_right)
+    h_order, hv = _build_h(ct, h_left, h_right, image)
+    images = map(image_keys.__getitem__, map(image.__getitem__, order))
+    sigma = dict(zip(map(keys.__getitem__, order), images))
+    h = dict(zip(map(keys.__getitem__, h_order), map(hv.__getitem__, h_order)))
     return LocalEnergyTable(ct, h_left, h_right, sigma, h)
 
 

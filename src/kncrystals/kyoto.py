@@ -62,6 +62,8 @@ def ground_states(ct, heights, budget=100_000):
     the last entry.  States are returned sorted by their factor serialization.
     """
     heights = tuple(heights)
+    # the column tables, budget-checked, come before any weight vector
+    by_eps = [_columns_by_eps(ct, h) for h in reversed(heights)]
     out = []
 
     def extend(chain, want):
@@ -77,8 +79,7 @@ def ground_states(ct, heights, budget=100_000):
             if len(out) > budget:
                 raise ShapeTooLarge(f"more than {budget} ground states")
             return
-        height = heights[len(heights) - 1 - k]
-        for col in _columns_by_eps(ct, height).get(want, ()):
+        for col in by_eps[k].get(want, ()):
             extend(chain + [col], column_phi_weight(ct, col))
 
     extend([], ct.fundamental(0))

@@ -15,7 +15,14 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import add
 
-from .charge import _arm_table, _circ_column, _key_columns, _require_sorted, charge
+from .charge import (
+    _arm_table,
+    _circ_factor,
+    _halve,
+    _key_columns,
+    _require_sorted,
+    charge,
+)
 from .core import (
     TensorElement,
     check_budget,
@@ -26,7 +33,7 @@ from .core import (
     weight,
 )
 from .energy import _left_chain, combinatorial_r, energy_DL
-from .errors import EnergyInconsistent, OddArmSum, WeightMismatch
+from .errors import EnergyInconsistent, WeightMismatch
 
 
 def conjugate(mu):
@@ -135,7 +142,7 @@ class _PrefixScan:
     a full garbage collection.
     """
 
-    def __init__(self, ct, heights, first):
+    def __init__(self, ct, heights, first, energy):
         _require_sorted(heights)
         self.ct = ct
         self.pools = [
@@ -144,45 +151,33 @@ class _PrefixScan:
         if first is not None:
             self.pools[0] = self.pools[0][first[0] : first[1]]
         self.halves = 2 if ct.family == "C" else 1
-        self.arm = _arm_table(tuple(h for h in heights for _ in range(self.halves)))
+        self.arm = _arm_table(heights, self.halves)
+        self.energy = energy
         self.memos = [{} for _ in heights]
         self.factors = [None] * len(heights)
         self.last = len(heights) - 1
 
-    def advance(self, p, prev, col):
-        """The circular step of factor p: its last key column and arm sum."""
-        arms = 0
-        for half, keys in enumerate(_key_columns(self.ct, col)):
-            j = p * self.halves + half
-            if j == 0:
-                prev = keys
-            else:
-                produced, rows = _circ_column(prev, keys, j, half)
-                prev = tuple(produced)
-                arms += sum(self.arm[j][r] for r in rows)
-        return prev, arms
-
     def walk(self, p, prev, arms, dl, wt):
         """The vertices below the node that holds factors 0 to p - 1."""
-        ct, factors, halves = self.ct, self.factors, self.halves
+        ct, factors, halves, energy = self.ct, self.factors, self.halves, self.energy
         memo = self.memos[p]
         for col, content in self.pools[p]:
             step = memo.get((prev, col))
             if step is None:
-                step = memo[(prev, col)] = self.advance(p, prev, col)
+                step = memo[(prev, col)] = _circ_factor(
+                    prev, _key_columns(ct, col), p * halves, self.arm
+                )
             factors[p] = col
-            d = dl + _left_chain(ct, factors, p)
+            d = dl + _left_chain(ct, factors, p) if energy else None
             w = tuple(map(add, wt, content))
             a = arms + step[1]
             if p < self.last:
                 yield from self.walk(p + 1, step[0], a, d, w)
-            elif a % halves:
-                raise OddArmSum(f"odd descent arm sum {a} at {factors}")
             else:
-                yield tuple(factors), a // halves, d, w
+                yield tuple(factors), _halve(a, halves, factors), d, w
 
 
-def _prefix_scan(ct, heights, first=None):
+def _prefix_scan(ct, heights, first=None, _energy=True):
     """Every vertex of the product with its charge, D^L and weight.
 
     A depth-first walk over ``columns(ct, h_1) x ... x columns(ct, h_N)``
@@ -196,9 +191,10 @@ def _prefix_scan(ct, heights, first=None):
 
     ``first`` is a ``(start, stop)`` range of the first factor's columns.
     Returns an iterator of ``(factors, charge, D^L, weight)`` in product
-    order.
+    order; with ``_energy`` false no D^L chain runs and D^L reads None.
     """
-    return _PrefixScan(ct, tuple(heights), first).walk(0, None, 0, 0, (0,) * ct.n)
+    scan = _PrefixScan(ct, tuple(heights), first, _energy)
+    return scan.walk(0, None, 0, 0 if _energy else None, (0,) * ct.n)
 
 
 def macdonald_p_q0(ct, mu, budget=None):
@@ -206,7 +202,7 @@ def macdonald_p_q0(ct, mu, budget=None):
     heights = shape_heights(ct, mu)
     check_budget(ct, heights, budget)
     return QXPolynomial.from_dict(
-        Counter((c, wt) for _, c, _, wt in _prefix_scan(ct, heights))
+        Counter((c, wt) for _, c, _, wt in _prefix_scan(ct, heights, _energy=False))
     )
 
 
@@ -217,8 +213,10 @@ def highest_weight_elements(ct, heights, budget=None):
             yield b
 
 
-def _graded_highest(ct, heights, target, statistic):
-    """The highest elements of weight ``target``, graded by ``statistic``."""
+def _graded_highest(ct, heights, lam, statistic):
+    """The highest elements of weight ``lam``, graded by ``statistic``."""
+    check_budget(ct, heights)  # before the n-entry target is built
+    target = tuple(lam) + (0,) * (ct.n - len(lam))
     return QPolynomial.from_dict(
         Counter(
             statistic(b)
@@ -235,11 +233,9 @@ def kostka_foulkes(ct, lam, mu):
     lam, mu = tuple(lam), tuple(mu)
     if sum(lam) != sum(mu):
         raise WeightMismatch(f"|{lam}| != |{mu}|")
-    heights = shape_heights(ct, mu)
-    target = lam + (0,) * (ct.n - len(lam))
-    if len(target) != ct.n:
+    if len(lam) > ct.n:
         raise ValueError(f"lambda = {lam} has more than n = {ct.n} parts")
-    return _graded_highest(ct, heights, target, charge)
+    return _graded_highest(ct, shape_heights(ct, mu), lam, charge)
 
 
 def one_dim_sum_X(ct, lam, heights):
@@ -247,8 +243,7 @@ def one_dim_sum_X(ct, lam, heights):
 
     Exponents are <= 0 under the normalization D = 0 at the generators.
     """
-    target = tuple(lam) + (0,) * (ct.n - len(lam))
-    return _graded_highest(ct, tuple(heights), target, energy_DL)
+    return _graded_highest(ct, tuple(heights), lam, energy_DL)
 
 
 def dominant_contents(ct, heights):

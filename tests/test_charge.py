@@ -198,3 +198,17 @@ def test_heights_must_be_sorted():
         charge_word(b)
     with pytest.raises(HeightsNotSorted):
         circ_ord(b)
+
+
+def test_key_pass_equals_the_filling_route():
+    # charge sums arms in the key pass; circ_ord builds the filling
+    for ct, heights in ((C3, (2, 2, 1)), (CartanType("A", 5), (3, 2, 1, 1))):
+        for b in iter_tensor_elements(ct, heights):
+            assert charge(b) == charge_module.charge_from_filling(circ_ord(b)), b
+
+
+def test_circ_ord_maps_every_key_back_to_its_letter():
+    for ct in (C3, A5):
+        for x in ct.alphabet():
+            halves = 2 if ct.family == "C" else 1
+            assert circ_ord(element(ct, [(x,)])).cols == ((x,),) * halves

@@ -1,10 +1,17 @@
 import itertools
+import os
+import pickle
+import subprocess
+import sys
+import time
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kncrystals
 from kncrystals import (
     CartanType,
     classical_highest,
@@ -26,7 +33,7 @@ from kncrystals import (
     validate_column,
     weight,
 )
-from kncrystals.core import _signature, _split_sets, iter_tensor_elements
+from kncrystals.core import _signature, _split_sets, check_budget, iter_tensor_elements
 from kncrystals.errors import (
     AdmissibilityViolation,
     NotIncreasing,
@@ -334,3 +341,51 @@ def test_factor_indexing_from_right():
 def test_level_constants():
     assert [A2.level_constant(r) for r in A2.classical_indices] == [1, 1]
     assert [C3.level_constant(r) for r in C3.classical_indices] == [2, 2, 1]
+
+
+_HASH_PROBE = """
+import pickle, sys
+from kncrystals import CartanType
+fresh = [CartanType("A", 3), CartanType("C", 4)]
+got = pickle.loads(sys.stdin.buffer.read())
+print([hash(g) == hash(f) and g == f and {f: 1}.get(g) == 1 for g, f in zip(got, fresh)])
+print([hash(f) for f in fresh])
+"""
+
+
+def test_cartan_hash_is_the_same_in_every_interpreter():
+    # a type pickled into a --jobs worker must hash like the worker's own
+    blob = pickle.dumps([CartanType("A", 3), CartanType("C", 4)])
+    src = str(Path(kncrystals.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-c", _HASH_PROBE],
+            input=blob,
+            capture_output=True,
+            timeout=30,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout.decode().splitlines())
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == "[True, True]"
+    assert outputs[0][1] == str([hash(CartanType("A", 3)), hash(CartanType("C", 4))])
+    assert repr(CartanType("C", 4)) == "CartanType(family='C', n=4)"
+
+
+def test_budget_check_stops_at_the_cap():
+    # C(10**12, 10**5) alone has about 2.4 million digits
+    t0 = time.perf_counter()
+    for ct in (CartanType("A", 10**12), CartanType("C", 10**12)):
+        for k in (1, 10**5, 10**12 - 1):
+            with pytest.raises(ShapeTooLarge):
+                check_budget(ct, (k,))
+    with pytest.raises(ShapeTooLarge):
+        check_budget(C2, (1,) * 10**5)
+    assert time.perf_counter() - t0 < 1.0
+    assert check_budget(C3, (3, 2, 1), budget=14 * 14 * 6) == 14 * 14 * 6
+    with pytest.raises(ShapeTooLarge):
+        check_budget(C3, (3, 2, 1), budget=14 * 14 * 6 - 1)
+    with pytest.raises(ValueError):
+        check_budget(C3, (1,) * 30 + (4,))

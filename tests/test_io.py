@@ -19,7 +19,7 @@ from kncrystals import (
     serialize_filling,
 )
 from kncrystals.cli import main
-from kncrystals.errors import AdmissibilityViolation, ParseError
+from kncrystals.errors import AdmissibilityViolation, CrystalError, ParseError
 
 A5 = CartanType("A", 6)
 C5 = CartanType("C", 5)
@@ -249,3 +249,138 @@ def test_cli_verify_under_optimize_flag():
                    "--heights", "2,1", "--json")
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["passed"] is True
+
+
+def test_cli_enumerate_limit(capsys):
+    args = ["enumerate", "-t", "C", "-n", "2", "--heights", "1"]
+    assert main(args + ["--limit", "0"]) == 0
+    assert capsys.readouterr().out == "4\n"
+    assert main(args + ["--limit", "2"]) == 0
+    assert capsys.readouterr().out == "4\nC2; 1\nC2; 2\n"
+    assert main(args + ["--limit", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--limit" in captured.err
+
+
+_RANK_PROBE = """
+from kncrystals import (CartanType, charge, columns, energy_DL, ground_states,
+                        local_table, parse_filling)
+from kncrystals.errors import ShapeTooLarge
+big = 10**12
+for text in ("A%d; 2,3 | 1" % big, "C%d; 2,3,-3 | 1,-2" % big, "C%d; 1" % big):
+    b = parse_filling(text)
+    print(charge(b), energy_DL(b) if len(b.factors) == 1 else "-")
+for ct in (CartanType("A", big), CartanType("C", big)):
+    for build in (lambda: columns(ct, 1), lambda: local_table(ct, 2, 1),
+                  lambda: ground_states(ct, (1,))):
+        try:
+            build()
+        except ShapeTooLarge:
+            print("ShapeTooLarge")
+"""
+
+
+def test_work_before_the_budget_check_does_not_grow_with_the_rank():
+    done = _python("-c", _RANK_PROBE)
+    assert done.returncode == 0, done.stderr
+    small = [
+        parse_filling(text)
+        for text in ("A4; 2,3 | 1", "C3; 2,3,-3 | 1,-2", "C3; 1")
+    ]
+    want = [f"{kncrystals.charge(b)} {'-' if len(b.factors) > 1 else 0}" for b in small]
+    assert done.stdout.splitlines() == want + ["ShapeTooLarge"] * 6
+
+
+_CLI_BATCH = """
+import contextlib, io, json, sys
+from kncrystals.cli import main
+codes = []
+for argv in json.loads(sys.stdin.read()):
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        try:
+            codes.append(main(argv))
+        except SystemExit as ex:
+            codes.append(ex.code)
+print(json.dumps(codes))
+"""
+
+# small ranks keep every shape within about 3,000 vertices, so each
+# command finishes in well under a second
+_SMALL_RANKS = st.integers(min_value=-1, max_value=3)
+# above 10**7 even one column of height 1 passes the default vertex budget
+# of 5,000,000, so every shape must be refused before any work
+_HUGE_RANKS = st.integers(min_value=10**7, max_value=10**12)
+_SHAPE_TEXT = st.lists(st.integers(min_value=-1, max_value=3), min_size=1, max_size=3).map(
+    lambda parts: ",".join(map(str, parts))
+)
+
+
+def _letters(n):
+    near_top = [n - 1, n] if n > 1 else []
+    return st.sampled_from([1, 2, 3, 0] + near_top + [-x for x in [1, 2, 3] + near_top])
+
+
+@st.composite
+def _filling_text(draw, n):
+    family = draw(st.sampled_from(["A", "C", "B"]))
+    cols = draw(st.lists(st.lists(_letters(n), max_size=3), min_size=1, max_size=3))
+    body = " | ".join(",".join(map(str, col)) for col in cols)
+    return f"{family}{n}; {body}"
+
+
+@st.composite
+def _argv(draw, ranks):
+    n = draw(ranks)
+    family = draw(st.sampled_from(["A", "C"]))
+    shape = ["-t", family, "-n", str(n)]
+    kind = draw(st.sampled_from(["charge", "energy", "enumerate", "ground-states",
+                                 "macdonald", "kostka", "xsum", "graph", "verify",
+                                 "bench", "junk"]))
+    mu = draw(_SHAPE_TEXT)
+    if kind in ("charge", "energy"):
+        flag = draw(st.sampled_from([[], ["--sort"] if kind == "charge" else ["--right"]]))
+        return [kind, draw(_filling_text(n))] + flag
+    if kind == "enumerate":
+        return [kind] + shape + ["--mu", mu, "--limit", str(draw(st.integers(-2, 3)))]
+    if kind in ("ground-states", "graph"):
+        return [kind] + shape + ["--heights", mu]
+    if kind == "macdonald":
+        return [kind] + shape + ["--mu", mu]
+    if kind in ("kostka", "xsum"):
+        return [kind] + shape + ["--mu", mu, "--lambda", draw(_SHAPE_TEXT)]
+    if kind == "verify":
+        return [kind] + shape + ["--heights", mu, "--suites", "theorem,charge"]
+    if kind == "bench":
+        return [kind] + shape + ["--heights", mu, "--trials", "5", "--repeats", "1"]
+    return draw(st.lists(st.sampled_from(["-n", "-t", "C", "5", "--mu", "x", "1,,2",
+                                          "charge", "--limit"]), max_size=5))
+
+
+@settings(max_examples=6, deadline=None)
+@given(batch=st.lists(st.one_of(_argv(_SMALL_RANKS), _argv(_HUGE_RANKS)),
+                      min_size=1, max_size=15))
+def test_cli_fuzz_exits_0_or_2(batch):
+    # one fresh interpreter per batch, so a hang fails after the timeout
+    done = subprocess.run(
+        [sys.executable, "-c", _CLI_BATCH],
+        input=json.dumps(batch),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(kncrystals.__file__).resolve().parents[1])},
+    )
+    assert done.returncode == 0, done.stderr
+    codes = json.loads(done.stdout)
+    assert all(code in (0, 2) for code in codes), list(zip(batch, codes))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(_SMALL_RANKS.flatmap(_filling_text), st.text(max_size=20)))
+def test_parse_filling_fuzz(text):
+    try:
+        b = parse_filling(text)
+    except (CrystalError, ValueError):
+        return
+    assert parse_filling(serialize_filling(b)) == b

@@ -79,6 +79,17 @@ def test_budget_is_checked_before_any_scan_work(monkeypatch):
         list(highest_weight_elements(C3, (2, 1), budget=10))
 
 
+def test_macdonald_runs_no_energy_chain(monkeypatch):
+    want = macdonald_p_q0(C3, (2, 1))
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a D^L chain ran")
+
+    monkeypatch.setattr(qpoly_module, "_left_chain", fail)
+    assert macdonald_p_q0(C3, (2, 1)) == want
+    assert {d for _, _, d, _ in _prefix_scan(C3, (2, 1), _energy=False)} == {None}
+
+
 def test_first_ranges_cap_jobs(monkeypatch):
     ranges = verify_module._first_ranges
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
