@@ -51,6 +51,7 @@ from .energy import (
     energy_DR,
     energy_report,
     is_demazure_arrow,
+    is_ground_state,
     local_energy,
     local_table,
     tau,

@@ -76,7 +76,6 @@ def cmd_enumerate(args):
     from .core import tensor_elements
 
     elems = tensor_elements(ct, _heights(args, ct))
-    elems.sort(key=lambda b: b.sort_key())
     print(len(elems))
     for b in elems if args.limit is None else elems[: args.limit]:
         print(serialize_filling(b))

@@ -196,22 +196,17 @@ def sort_letters(ct, letters):
     return tuple(sorted(letters, key=ct.key))
 
 
-def is_admissible(ct, letters):
-    """Cheap validity check: strictly increasing plus the (z, z-bar) condition."""
-    keys = [ct.key(x) for x in letters]
-    if any(not ct.is_letter(x) for x in letters):
-        return False
-    if any(a >= b for a, b in zip(keys, keys[1:])):
-        return False
+def _pair_violation(letters):
+    """The first (z, gap) with z and z-bar at distance gap <= k - z, or None.
+
+    Only the letters are scanned, so the check does not grow with the rank.
+    """
     k = len(letters)
-    if k > ct.max_height:
-        return False
-    if ct.family == "C":
-        pos = {x: p for p, x in enumerate(letters, start=1)}
-        for z, p in pos.items():
-            if z > 0 and -z in pos and pos[-z] - p <= k - z:
-                return False
-    return True
+    pos = {x: p for p, x in enumerate(letters, start=1)}
+    for z, p in pos.items():
+        if z > 0 and -z in pos and pos[-z] - p <= k - z:
+            return z, pos[-z] - p
+    return None
 
 
 def validate_column(ct, letters):
@@ -235,16 +230,12 @@ def validate_column(ct, letters):
             f"height {k} exceeds the maximum {ct.max_height} for {ct}"
         )
     if ct.family == "C":
-        pos = {x: p for p, x in enumerate(letters, start=1)}
-        # the letters, not 1..n: the check must not grow with the rank
-        for z, p in pos.items():
-            if z > 0 and -z in pos:
-                gap = pos[-z] - p
-                if gap <= k - z:
-                    raise AdmissibilityViolation(
-                        f"pair ({z}, {z}-bar) at distance {gap} <= {k - z} = k - z",
-                        z=z, gap=gap, bound=k - z,
-                    )
+        if (violation := _pair_violation(letters)) is not None:
+            z, gap = violation
+            raise AdmissibilityViolation(
+                f"pair ({z}, {z}-bar) at distance {gap} <= {k - z} = k - z",
+                z=z, gap=gap, bound=k - z,
+            )
         if _split_sets(ct, letters) is None:
             raise SplitImpossible(
                 f"column {letters} passes the pair condition but cannot be split"
@@ -294,15 +285,15 @@ def split_column(ct, col):
 
 @lru_cache(maxsize=None)
 def columns(ct, k):
-    """All admissible columns of height k, sorted."""
+    """All admissible columns of height k, sorted.
+
+    The alphabet is in increasing order, so its k-subsets come out increasing
+    and in key order.
+    """
     check_budget(ct, (k,))
-    found = [
-        c
-        for c in itertools.combinations(ct.alphabet(), k)
-        if is_admissible(ct, c)
-    ]
-    found.sort(key=lambda c: tuple(ct.key(x) for x in c))
-    return tuple(found)
+    return tuple(
+        c for c in itertools.combinations(ct.alphabet(), k) if _pair_violation(c) is None
+    )
 
 
 def column_content(ct, col):
@@ -416,11 +407,6 @@ def _element_signature(elem, i):
     return _signature(map(column_eps_phi, repeat(elem.cartan), repeat(i), elem.factors))
 
 
-def eps_phi(elem, i):
-    """(eps_i, phi_i), computed by closed-form signature counting."""
-    return _element_signature(elem, i)[:2]
-
-
 def eps(elem, i):
     return _element_signature(elem, i)[0]
 
@@ -465,37 +451,31 @@ def is_classical_highest(elem):
     return all(eps(elem, i) == 0 for i in elem.cartan.classical_indices)
 
 
-def classical_highest(elem):
-    """Raise by classical e_i until none applies.
+def _classical_extreme(elem, op):
+    """Apply the classical operator ``op`` (e or f) until none applies.
 
-    Returns (highest, path) where path lists the applied indices in order,
-    so that lowering highest by f along reversed(path) recovers the input.
+    Returns (end, path) where path lists the applied indices in order.
     """
     path = []
     cur = elem
     while True:
         for i in cur.cartan.classical_indices:
-            nxt = e(cur, i)
+            nxt = op(cur, i)
             if nxt is not None:
                 cur = nxt
                 path.append(i)
                 break
         else:
             return cur, tuple(path)
+
+
+def classical_highest(elem):
+    """(highest, path): lowering by f along reversed(path) recovers elem."""
+    return _classical_extreme(elem, e)
 
 
 def classical_lowest(elem):
-    path = []
-    cur = elem
-    while True:
-        for i in cur.cartan.classical_indices:
-            nxt = f(cur, i)
-            if nxt is not None:
-                cur = nxt
-                path.append(i)
-                break
-        else:
-            return cur, tuple(path)
+    return _classical_extreme(elem, f)
 
 
 def lusztig_involution(elem):
@@ -578,7 +558,7 @@ def check_budget(ct, heights, budget=None):
 
 
 def tensor_elements(ct, heights, budget=None):
-    """All vertices of the tensor product with the given heights, sorted."""
+    """All vertices of the shape, in sort-key order (the columns are sorted)."""
     check_budget(ct, heights, budget)
     return list(iter_tensor_elements(ct, heights))
 
@@ -600,7 +580,6 @@ class CrystalGraph:
 
 def crystal_graph(ct, heights, include_zero=True, budget=None):
     verts = tensor_elements(ct, tuple(heights), budget=budget)
-    verts.sort(key=TensorElement.sort_key)
     indices = list(ct.index_set) if include_zero else list(ct.classical_indices)
     edges = []
     for v in verts:

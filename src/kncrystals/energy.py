@@ -47,6 +47,7 @@ from .core import (
     columns,
     e,
     eps,
+    is_classical_highest,
     lusztig_involution,
     phi,
 )
@@ -448,14 +449,23 @@ def is_demazure_arrow(elem, i):
     return i != 0 or eps(elem, 0) >= DEMAZURE_LEVEL
 
 
+def is_ground_state(elem):
+    """Whether elem (x) u_{Lambda_0} is highest weight: the ground-state test.
+
+    This is the one definition of a ground state; the anchor absorbs one
+    unit of eps_0, so eps_0 may be 1.
+    """
+    return is_classical_highest(elem) and eps(elem, 0) <= 1
+
+
 def demazure_grading_oracle(elem):
     """Minimal number of e_0 steps to the highest element over the Kyoto anchor.
 
     Moves are the e_i available inside B (x) B(Lambda_0): every classical e_i,
     and e_0 only while eps_0 >= 2 (one unit of eps_0 is absorbed by the anchor;
     this availability rule is derived from the tensor rule).  Targets are the
-    elements u with eps_i(u) = 0 for i != 0 and eps_0(u) <= 1.  Zero-one BFS:
-    e_0 edges cost 1, classical edges cost 0.  The reached target u_b is the
+    ground states (:func:`is_ground_state`).  Zero-one BFS: e_0 edges cost 1,
+    classical edges cost 0.  The reached target u_b is the
     anchored component's highest element and min_e0 is its affine degree, which
     equals the right-energy difference D^R(b) - D^R(u_b).  (The left energy
     does not satisfy this identity: on the three-box type A_1 product, the
@@ -463,18 +473,12 @@ def demazure_grading_oracle(elem):
     target's by one.)
     """
     ct = elem.cartan
-
-    def is_target(x):
-        if any(eps(x, i) > 0 for i in ct.classical_indices):
-            return False
-        return eps(x, 0) <= 1
-
     dist = {elem: 0}
     queue = deque([elem])
     while queue:
         cur = queue.popleft()
         d = dist[cur]
-        if is_target(cur):
+        if is_ground_state(cur):
             return cur, d
         for i in ct.index_set:
             if i == 0:

@@ -1,7 +1,8 @@
 """Ground states and Demazure walks for the path model with a level-1 anchor.
 
 A ground state of B^{r_N,1} (x) ... (x) B^{r_1,1} is an element u such that
-u (x) u_{Lambda_0} is highest weight.  They are enumerated recursively from
+u (x) u_{Lambda_0} is highest weight; :func:`.energy.is_ground_state` is the
+one definition of that test.  The states are built factor by factor from
 the right: b_1 ranges over the elements with eps(b_1) = Lambda_0, and each
 next factor over those with eps(b_{k+1}) = phi(b_k).  Type A crystals are
 perfect, so the chain is forced and there is a single ground state; in type
@@ -58,31 +59,28 @@ def _fundamental_index(ct, coeffs):
 def ground_states(ct, heights, budget=100_000):
     """All ground states of the tensor product with the given heights.
 
-    ``heights`` lists the factors left to right, so the recursion starts at
-    the last entry.  States are returned sorted by their factor serialization.
+    ``heights`` lists the factors left to right, so the chain starts at the
+    last entry.  States are returned sorted by their factor serialization.
     """
     heights = tuple(heights)
     # the column tables, budget-checked, come before any weight vector
     by_eps = [_columns_by_eps(ct, h) for h in reversed(heights)]
     out = []
-
-    def extend(chain, want):
-        # chain holds b_1, b_2, ... ; factor heights are read right to left
+    # chains b_1, b_2, ... on a stack, so no recursion limit bounds the depth
+    stack = [((), ct.fundamental(0))]
+    while stack:
+        chain, want = stack.pop()
         k = len(chain)
-        if k == len(heights):
-            weight = column_phi_weight(ct, chain[-1])
-            h = _fundamental_index(ct, weight)
-            if h is None:
-                raise NotFundamental(f"ground state weight {weight} is not fundamental")
-            elem = TensorElement(ct, tuple(reversed(chain)))
-            out.append(GroundState(elem, h))
-            if len(out) > budget:
-                raise ShapeTooLarge(f"more than {budget} ground states")
-            return
-        for col in by_eps[k].get(want, ()):
-            extend(chain + [col], column_phi_weight(ct, col))
-
-    extend([], ct.fundamental(0))
+        if k < len(heights):
+            for col in by_eps[k].get(want, ()):
+                stack.append((chain + (col,), column_phi_weight(ct, col)))
+            continue
+        h = _fundamental_index(ct, want)
+        if h is None:
+            raise NotFundamental(f"ground state weight {want} is not fundamental")
+        out.append(GroundState(TensorElement(ct, chain[::-1]), h))
+        if len(out) > budget:
+            raise ShapeTooLarge(f"more than {budget} ground states")
     out.sort(key=lambda g: g.element.sort_key())
     return out
 

@@ -24,6 +24,7 @@ from .charge import (
     charge,
 )
 from .core import (
+    VERTEX_BUDGET,
     TensorElement,
     check_budget,
     column_content,
@@ -33,7 +34,7 @@ from .core import (
     weight,
 )
 from .energy import _left_chain, combinatorial_r, energy_DL
-from .errors import EnergyInconsistent, WeightMismatch
+from .errors import EnergyInconsistent, ShapeTooLarge, WeightMismatch
 
 
 def conjugate(mu):
@@ -51,6 +52,21 @@ def shape_heights(ct, mu):
         raise ValueError(
             f"column height {heights[0]} of mu' exceeds {ct.max_height} for {ct}"
         )
+    return heights
+
+
+def _budgeted_heights(ct, mu, budget=None):
+    """``shape_heights`` for a route that enumerates B_mu, budget-checked.
+
+    B_mu has mu[0] factors of at least two columns each, so at least
+    2^mu[0] vertices: a huge first part is refused before mu' is built.
+    """
+    mu = tuple(mu)
+    cap = VERTEX_BUDGET if budget is None else budget
+    if mu and mu[0] >= cap.bit_length():
+        raise ShapeTooLarge(f"mu[0] = {mu[0]}: at least 2^{mu[0]} vertices, over the budget {cap}")
+    heights = shape_heights(ct, mu)
+    check_budget(ct, heights, budget)
     return heights
 
 
@@ -199,8 +215,7 @@ def _prefix_scan(ct, heights, first=None, _energy=True):
 
 def macdonald_p_q0(ct, mu, budget=None):
     """P_mu(x; q, 0) as the charge generating function over B_mu."""
-    heights = shape_heights(ct, mu)
-    check_budget(ct, heights, budget)
+    heights = _budgeted_heights(ct, mu, budget)
     return QXPolynomial.from_dict(
         Counter((c, wt) for _, c, _, wt in _prefix_scan(ct, heights, _energy=False))
     )
@@ -235,7 +250,7 @@ def kostka_foulkes(ct, lam, mu):
         raise WeightMismatch(f"|{lam}| != |{mu}|")
     if len(lam) > ct.n:
         raise ValueError(f"lambda = {lam} has more than n = {ct.n} parts")
-    return _graded_highest(ct, shape_heights(ct, mu), lam, charge)
+    return _graded_highest(ct, _budgeted_heights(ct, mu), lam, charge)
 
 
 def one_dim_sum_X(ct, lam, heights):
@@ -291,7 +306,7 @@ def schur_expansion_reconstruction(ct, mu):
     """Assemble sum_lambda K_{lambda' mu'}(q) s_lambda as a QXPolynomial."""
     if ct.family != "A":
         raise ValueError("the Schur reconstruction is a type A identity")
-    heights = shape_heights(ct, mu)
+    heights = _budgeted_heights(ct, mu)
     acc = {}
     for lam_content in dominant_contents(ct, heights):
         lam = tuple(p for p in lam_content if p > 0)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import kncrystals
 from kncrystals import (
     CartanType,
+    TensorElement,
     classical_highest,
     classical_lowest,
     columns,
@@ -97,6 +98,28 @@ def test_column_counts():
         ct = CartanType("A", n)
         for k in range(1, n):
             assert len(columns(ct, k)) == comb(n, k) == crystal_size(ct, (k,))
+
+
+def test_columns_equal_the_validated_letter_subsets():
+    for fam in ("A", "C"):
+        for n in range(2, 6):
+            ct = CartanType(fam, n)
+            letters = [x for x in range(-n, n + 1) if ct.is_letter(x)]
+            for k in range(1, ct.max_height + 1):
+                found = []
+                for subset in itertools.combinations(letters, k):
+                    try:
+                        found.append(validate_column(ct, sorted(subset, key=ct.key)))
+                    except AdmissibilityViolation:
+                        pass
+                found.sort(key=lambda c: [ct.key(x) for x in c])
+                assert columns(ct, k) == tuple(found), (ct, k)
+
+
+def test_tensor_elements_come_out_sorted():
+    for ct, heights in ((A4, (3, 2, 2, 1)), (C3, (3, 2, 1))):
+        elems = tensor_elements(ct, heights)
+        assert elems == sorted(elems, key=TensorElement.sort_key)
 
 
 def test_column_set_closed_and_connected():

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -241,6 +242,23 @@ def test_cli_rejects_huge_shape_before_building_columns():
                    "--heights", "15")
     assert done.returncode == 2
     assert "ShapeTooLarge" in done.stderr
+
+
+@pytest.mark.parametrize("mu", ["10000000", "1000000000"])
+def test_cli_macdonald_refuses_a_huge_first_part_at_once(mu):
+    # B_mu has at least 2^mu[0] vertices; mu' must not be built first
+    start = time.perf_counter()
+    done = _python("-m", "kncrystals.cli", "macdonald", "-t", "A", "-n", "3", "--mu", mu)
+    assert time.perf_counter() - start < 1
+    assert done.returncode == 2
+    assert "ShapeTooLarge" in done.stderr
+
+
+def test_cli_ground_states_of_many_factors():
+    done = _python("-m", "kncrystals.cli", "ground-states", "-t", "A", "-n", "2",
+                   "--heights", ",".join(["1"] * 2000))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == "1"
 
 
 def test_cli_verify_under_optimize_flag():

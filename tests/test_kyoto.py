@@ -1,4 +1,5 @@
 import pytest
+from util import theorem_shapes
 
 from kncrystals import (
     CartanType,
@@ -11,9 +12,12 @@ from kncrystals import (
     f,
     f_word,
     ground_states,
+    is_ground_state,
     iter_tensor_elements,
     normalize_shape,
+    shape_heights,
 )
+from kncrystals.errors import ShapeTooLarge
 
 A2 = CartanType("A", 3)
 C3 = CartanType("C", 3)
@@ -151,10 +155,20 @@ def test_f_word_formula():
 
 
 def test_oracle_targets_are_exactly_ground_states():
-    for heights in [(1, 2), (2, 1), (1, 1), (1, 1, 2)]:
-        expected = {g.element for g in ground_states(C3, heights)}
-        reached = {
-            demazure_grading_oracle(b)[0]
-            for b in iter_tensor_elements(C3, heights)
-        }
-        assert reached == expected
+    # the definition, the per-element oracle and the recursive construction
+    shapes = [(C3, heights) for heights in [(1, 2), (2, 1), (1, 1), (1, 1, 2)]]
+    shapes += [(ct, shape_heights(ct, mu)) for ct, mu in theorem_shapes()]
+    for ct, heights in shapes:
+        expected = {g.element for g in ground_states(ct, heights)}
+        elems = list(iter_tensor_elements(ct, heights))
+        assert set(filter(is_ground_state, elems)) == expected, (ct, heights)
+        assert {demazure_grading_oracle(b)[0] for b in elems} == expected, (ct, heights)
+
+
+def test_ground_states_of_many_factors():
+    # the chain is built on an explicit stack, so no recursion limit applies
+    (state,) = ground_states(CartanType("A", 2), (1,) * 2000)
+    assert len(state.element.factors) == 2000
+    with pytest.raises(ShapeTooLarge):
+        # 1,024 states
+        ground_states(CartanType("C", 2), (1,) * 20, budget=100)

@@ -61,6 +61,14 @@ def test_a_disagreeing_second_route_fails_the_suite(monkeypatch, suite, attr, br
     assert not report.passed
 
 
+def test_a_ground_state_test_missing_one_state_fails_the_kyoto_suite(monkeypatch):
+    missed = ground_states(C2, (2, 1))[0].element
+    real = verify_module.is_ground_state
+    monkeypatch.setattr(verify_module, "is_ground_state", lambda b: b != missed and real(b))
+    report = run_verify(C2, (2, 1), suites=("kyoto",))
+    assert report.suites["kyoto"] == {"passed": False, "checks": PINNED_CHECKS[C2]["kyoto"]}
+
+
 def _theorem_must_not_run(*args, **kwargs):
     raise AssertionError("a suite ran before the suite names were checked")
 
