@@ -15,6 +15,7 @@ from .energy import energy_DL, energy_DR
 from .errors import CrystalError
 from .kyoto import ground_states
 from .qpoly import (
+    _budgeted_heights,
     kostka_foulkes,
     macdonald_p_q0,
     one_dim_sum_X,
@@ -37,7 +38,8 @@ def _heights(args, ct):
     if getattr(args, "heights", None):
         return _parse_ints(args.heights)
     if getattr(args, "mu", None):
-        return shape_heights(ct, _parse_ints(args.mu))
+        # refused before mu' is built when the shape is over the vertex budget
+        return _budgeted_heights(ct, _parse_ints(args.mu), getattr(args, "budget", None))
     raise SystemExit2("one of --mu or --heights is required")
 
 
@@ -84,7 +86,12 @@ def cmd_enumerate(args):
 
 def cmd_ground_states(args):
     ct = _cartan(args)
-    states = ground_states(ct, _heights(args, ct))
+    # no vertex budget here: ground_states bounds the states it finds
+    if args.heights:
+        heights = _parse_ints(args.heights)
+    else:
+        heights = shape_heights(ct, _parse_ints(args.mu))
+    states = ground_states(ct, heights)
     print(len(states))
     for g in states:
         print(f"L{g.weight_index}: {serialize_filling(g.element)}")

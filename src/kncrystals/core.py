@@ -551,8 +551,10 @@ def check_budget(ct, heights, budget=None):
     cap = VERTEX_BUDGET if budget is None else budget
     size = _capped_size(ct, heights, cap)
     if size > cap:
+        shown = ", ".join(map(str, heights[:8])) + (", ..." if len(heights) > 8 else "")
         raise ShapeTooLarge(
-            f"heights {tuple(heights)} of {ct} have more than {cap} vertices (the budget)"
+            f"{len(heights)} factors of heights ({shown}) of {ct} have more than "
+            f"{cap} vertices (the budget)"
         )
     return size
 

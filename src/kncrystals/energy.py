@@ -14,10 +14,13 @@ Both walks run over integer codes.  A column's code is its position in
 ``columns(ct, h)``, so the generator is 0, and a pair of columns has the
 code ``l * |B_right| + r``.  Per (type, height, index) the column data are
 flat tuples by code: eps, phi, and the codes of the f and e targets, -1
-where the operator is undefined.  Only when a walk is done are its results turned
-into the tuple-keyed dicts of :class:`LocalEnergyTable`, in visit order,
-from one cached tuple of pair keys per (type, left height, right height):
-H reuses the keys of sigma, and the values of sigma are the keys of the
+where the operator is undefined.  A :class:`LocalEnergyTable` keeps flat
+arrays by pair code; the energy transports code the columns they meet and
+carry the moving factor as its code, so no pair of columns is built.  Its
+``sigma`` and ``h`` are read-only mappings over the arrays, with keys in
+visit order from one cached tuple of pair keys per (type, left height,
+right height), built only when a view is iterated or sigma is read: H
+shares the keys of sigma, and the values of sigma are the keys of the
 swapped table.
 
 Both tables are memoized per (cartan type, left height, right height) and are
@@ -31,7 +34,9 @@ all D values on a product of generators vanish.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -67,21 +72,48 @@ def _column_codes(ct, h, i):
     f and e hold the code of the target column, or -1 where undefined.
     """
     cols = columns(ct, h)
-    code = {c: k for k, c in enumerate(cols)}
-    code[None] = -1
+    code = _column_index(ct, h).get
     eps_t, phi_t = zip(*(column_eps_phi(ct, i, c) for c in cols))
     return (
         eps_t,
         phi_t,
-        tuple(code[column_f(ct, i, c)] for c in cols),
-        tuple(code[column_e(ct, i, c)] for c in cols),
+        tuple(code(column_f(ct, i, c), -1) for c in cols),
+        tuple(code(column_e(ct, i, c), -1) for c in cols),
     )
+
+
+@lru_cache(maxsize=None)
+def _column_index(ct, h):
+    """The code of every height-h column: its position in ``columns(ct, h)``."""
+    return {c: k for k, c in enumerate(columns(ct, h))}
 
 
 @lru_cache(maxsize=None)
 def _pair_keys(ct, h_left, h_right):
     """Every pair of columns, indexed by its code ``l * |B_right| + r``."""
     return tuple(product(columns(ct, h_left), columns(ct, h_right)))
+
+
+class _PairView(Mapping):
+    """Read-only (left, right) -> ``value(pair code)``, iterated in ``order``."""
+
+    def __init__(self, ct, h_left, h_right, order, value):
+        self._shape, self._order, self._value = (ct, h_left, h_right), order, value
+        self._left, self._right = _column_index(ct, h_left), _column_index(ct, h_right)
+
+    def __len__(self):
+        return len(self._order)
+
+    def __iter__(self):
+        return map(_pair_keys(*self._shape).__getitem__, self._order)
+
+    def __getitem__(self, pair):
+        try:
+            left, right = pair
+            p = self._left[left] * len(self._right) + self._right[right]
+        except (KeyError, TypeError, ValueError):
+            raise KeyError(pair) from None
+        return self._value(p)
 
 
 @dataclass(frozen=True)
@@ -91,8 +123,16 @@ class LocalEnergyTable:
     cartan: object
     h_left: int
     h_right: int
-    sigma: dict  # (left, right) -> (left', right') in the swapped product
-    h: dict  # (left, right) -> int
+    n_left: int  # columns of height h_left
+    n_right: int
+    left_index: dict  # column -> code, shared by every table of height h_left
+    right_index: dict
+    image: array  # by pair code l * n_right + r: sigma's image l' * n_left + r'
+    energies: array  # by pair code: H
+    order: array  # pair codes in the visit order of the sigma walk
+    h_order: array  # and of the H walk
+    sigma: Mapping  # (left, right) -> (left', right') in the swapped product
+    h: Mapping  # (left, right) -> int
 
 
 def _highest_codes(ct, h, h_other):
@@ -183,9 +223,11 @@ def _build_h(ct, h_left, h_right, image):
     codes in visit order and the H value of each.
     """
     n_left, n_right = len(columns(ct, h_left)), len(columns(ct, h_right))
-    keys = _pair_keys(ct, h_left, h_right)
     eps0_l, phi0_l, f0_l, e0_l = _column_codes(ct, h_left, 0)
     eps0_r, phi0_r, f0_r, e0_r = _column_codes(ct, h_right, 0)
+
+    def key(p):  # the pair of columns with code p, for an error message
+        return _pair_keys(ct, h_left, h_right)[p]
 
     def e0_delta(p):
         """(code of e_0 p, change of H along that edge), or (-1, 0)."""
@@ -207,13 +249,13 @@ def _build_h(ct, h_left, h_right, image):
         else:
             s_up, s_side = e0_l[br], 1
         if s_up < 0:
-            raise NoMatchingComponent(f"e_0 undefined on the sigma image of {keys[p]}")
+            raise NoMatchingComponent(f"e_0 undefined on the sigma image of {key(p)}")
         if side == s_side:
             return up, 2 * side - 1
         return up, 0
 
     def differs(q, old, val):
-        return EnergyInconsistent(f"H differs at {keys[q]}: {old} != {val}")
+        return EnergyInconsistent(f"H differs at {key(q)}: {old} != {val}")
 
     plan = [
         _column_codes(ct, h_left, i) + _column_codes(ct, h_right, i)
@@ -243,7 +285,7 @@ def _build_h(ct, h_left, h_right, image):
         if down >= 0:
             back, delta = e0_delta(down)
             if back != w:
-                raise EnergyInconsistent(f"e_0 does not undo f_0 at {keys[w]}")
+                raise EnergyInconsistent(f"e_0 does not undo f_0 at {key(w)}")
             val = hw - delta
             old = hv[down]
             if old is None:
@@ -290,14 +332,20 @@ def _build_h(ct, h_left, h_right, image):
 @lru_cache(maxsize=None)
 def local_table(ct, h_left, h_right):
     check_budget(ct, (h_left, h_right))
-    keys = _pair_keys(ct, h_left, h_right)
-    image_keys = _pair_keys(ct, h_right, h_left)
     order, image = _build_sigma(ct, h_left, h_right)
     h_order, hv = _build_h(ct, h_left, h_right, image)
-    images = map(image_keys.__getitem__, map(image.__getitem__, order))
-    sigma = dict(zip(map(keys.__getitem__, order), images))
-    h = dict(zip(map(keys.__getitem__, h_order), map(hv.__getitem__, h_order)))
-    return LocalEnergyTable(ct, h_left, h_right, sigma, h)
+    image, hv = array("i", image), array("h", hv)  # "h" raises OverflowError
+    order, h_order = array("i", order), array("i", h_order)
+
+    def sigma(p):
+        return _pair_keys(ct, h_right, h_left)[image[p]]
+
+    left, right = _column_index(ct, h_left), _column_index(ct, h_right)
+    return LocalEnergyTable(
+        ct, h_left, h_right, len(left), len(right), left, right, image, hv, order, h_order,
+        _PairView(ct, h_left, h_right, order, sigma),
+        _PairView(ct, h_left, h_right, h_order, hv.__getitem__),
+    )
 
 
 def combinatorial_r(ct, left, right):
@@ -339,22 +387,26 @@ def _left_chain(ct, factors, q0, terms=None):
     leftward by the R-matrix past ``factors[q0 - 1], ..., factors[1]``, and
     the local energy of each pair it meets is added, nearest first, and
     appended to ``terms`` when given.  The chain reads only
-    ``factors[: q0 + 1]``.
+    ``factors[: q0 + 1]``.  Each table codes the column it meets, and the
+    moving factor travels as its code (-1 before the first table).
     """
     q = q0
-    moving = factors[q]
+    h_moving = len(factors[q])
+    moving = -1
     total = 0
     while q:
         q -= 1
         left = factors[q]
-        table = local_table(ct, len(left), len(moving))
-        pair = (left, moving)
-        h = table.h[pair]
+        table = local_table(ct, len(left), h_moving)
+        if moving < 0:
+            moving = table.right_index[factors[q0]]
+        p = table.left_index[left] * table.n_right + moving
+        h = table.energies[p]
         total += h
         if terms is not None:
             terms.append(h)
         if q:
-            moving = table.sigma[pair][0]
+            moving = table.image[p] // table.n_left
     return total
 
 
@@ -378,19 +430,22 @@ def _right_chain(ct, factors, q0, terms=None):
     """
     last = len(factors) - 1
     q = q0
-    moving = factors[q]
+    h_moving = len(factors[q])
+    moving = -1
     total = 0
     while q < last:
         q += 1
         right = factors[q]
-        table = local_table(ct, len(moving), len(right))
-        pair = (moving, right)
-        h = table.h[pair]
+        table = local_table(ct, h_moving, len(right))
+        if moving < 0:
+            moving = table.left_index[factors[q0]]
+        p = moving * table.n_right + table.right_index[right]
+        h = table.energies[p]
         total += h
         if terms is not None:
             terms.append(h)
         if q < last:
-            moving = table.sigma[pair][1]
+            moving = table.image[p] % table.n_left
     return total
 
 

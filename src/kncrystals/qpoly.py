@@ -221,8 +221,21 @@ def macdonald_p_q0(ct, mu, budget=None):
     )
 
 
+def _check_rank_work(ct, heights, budget=None):
+    """``check_budget`` for a route that does n-entry work on every vertex.
+
+    Such a route costs vertices x n, so that product is held to the budget.
+    """
+    cap = VERTEX_BUDGET if budget is None else budget
+    size = check_budget(ct, heights, budget)
+    if size * ct.n > cap:
+        raise ShapeTooLarge(
+            f"{size} vertices x rank {ct.n} of per-vertex work exceed the budget {cap}"
+        )
+
+
 def highest_weight_elements(ct, heights, budget=None):
-    check_budget(ct, heights, budget)
+    _check_rank_work(ct, heights, budget)
     for b in iter_tensor_elements(ct, heights):
         if is_classical_highest(b):
             yield b
@@ -230,7 +243,7 @@ def highest_weight_elements(ct, heights, budget=None):
 
 def _graded_highest(ct, heights, lam, statistic):
     """The highest elements of weight ``lam``, graded by ``statistic``."""
-    check_budget(ct, heights)  # before the n-entry target is built
+    _check_rank_work(ct, heights)  # before the n-entry target is built
     target = tuple(lam) + (0,) * (ct.n - len(lam))
     return QPolynomial.from_dict(
         Counter(

@@ -412,3 +412,13 @@ def test_budget_check_stops_at_the_cap():
         check_budget(C3, (3, 2, 1), budget=14 * 14 * 6 - 1)
     with pytest.raises(ValueError):
         check_budget(C3, (1,) * 30 + (4,))
+
+
+def test_budget_message_names_few_heights():
+    with pytest.raises(ShapeTooLarge) as info:
+        check_budget(CartanType("A", 3), (1,) * 100000)
+    message = str(info.value)
+    assert len(message) < 300
+    assert "100000 factors of heights (1, 1, 1, 1, 1, 1, 1, 1, ...)" in message
+    with pytest.raises(ShapeTooLarge, match=r"2 factors of heights \(3, 2\) of C3"):
+        check_budget(C3, (3, 2), budget=10)

@@ -254,6 +254,24 @@ def test_cli_macdonald_refuses_a_huge_first_part_at_once(mu):
     assert "ShapeTooLarge" in done.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # budget-checked before mu' (10^7 parts) is built
+        ["enumerate", "-t", "A", "-n", "3", "--mu", "10000000", "--limit", "0"],
+        ["xsum", "-t", "A", "-n", "3", "--mu", "10000000", "--lambda", "1"],
+        # within the vertex budget, but an n-entry check on every vertex
+        ["kostka", "-t", "A", "-n", "3555922", "--mu", "1", "--lambda", "1,0"],
+    ],
+)
+def test_cli_refuses_over_budget_work_at_once(argv):
+    start = time.perf_counter()
+    done = _python("-m", "kncrystals.cli", *argv)
+    assert time.perf_counter() - start < 1
+    assert done.returncode == 2
+    assert "ShapeTooLarge" in done.stderr
+
+
 def test_cli_ground_states_of_many_factors():
     done = _python("-m", "kncrystals.cli", "ground-states", "-t", "A", "-n", "2",
                    "--heights", ",".join(["1"] * 2000))

@@ -18,7 +18,8 @@ from kncrystals import (
     shape_heights,
     sort_via_rmatrix,
 )
-from kncrystals.errors import EnergyInconsistent, WeightMismatch
+from kncrystals.qpoly import _check_rank_work, highest_weight_elements
+from kncrystals.errors import EnergyInconsistent, ShapeTooLarge, WeightMismatch
 
 A1 = CartanType("A", 2)
 C2 = CartanType("C", 2)
@@ -156,3 +157,21 @@ def test_sort_via_rmatrix_checks_energy_without_assert(monkeypatch):
     monkeypatch.setattr(qpoly_module, "energy_DL", lambda b: next(values))
     with pytest.raises(EnergyInconsistent, match="R-matrix changed D"):
         sort_via_rmatrix(element(C3, [(1,), (2, 3)]))
+
+
+def test_rank_work_is_held_to_the_budget():
+    # 3,555,922 columns pass the vertex budget; n entries on each do not
+    huge = CartanType("A", 3555922)
+    for run in (
+        lambda: list(highest_weight_elements(huge, (1,))),
+        lambda: dominant_contents(huge, (1,)),
+        lambda: one_dim_sum_X(huge, (1,), (1,)),
+        lambda: kostka_foulkes(huge, (1,), (1,)),
+    ):
+        with pytest.raises(ShapeTooLarge, match="rank 3555922"):
+            run()
+    # the largest nearby shape stays well inside: 531,441 vertices x 3
+    a3 = CartanType("A", 3)
+    _check_rank_work(a3, shape_heights(a3, (12,)))
+    with pytest.raises(ShapeTooLarge):
+        _check_rank_work(a3, shape_heights(a3, (12,)), budget=3 * 531441 - 1)

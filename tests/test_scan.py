@@ -2,6 +2,7 @@
 oracle."""
 
 import os
+from array import array
 from importlib import import_module
 
 import pytest
@@ -51,12 +52,16 @@ def test_scan_first_ranges_partition_the_product():
     assert sum(parts, []) == whole
 
 
-def test_theorem_scan_still_compares_both_routes(monkeypatch):
-    # every vertex of C3 (2,2,1) meets the (2,2) table in its first chain
-    table = local_table(C3, 2, 2)
-    for pair, value in list(table.h.items()):
-        monkeypatch.setitem(table.h, pair, value + 1)
-    report = run_verify(C3, (2, 2, 1), suites=("theorem",))
+def test_theorem_scan_still_compares_both_routes():
+    # every vertex of C3 (2,2,1) meets the (2,2) table in its first chain;
+    # the table is shared, so its coded H is raised in place and restored
+    energies = local_table(C3, 2, 2).energies
+    saved = energies[:]
+    energies[:] = array("h", (v + 1 for v in saved))
+    try:
+        report = run_verify(C3, (2, 2, 1), suites=("theorem",))
+    finally:
+        energies[:] = saved
     assert not report.passed
     assert report.max_discrepancy > 0
 

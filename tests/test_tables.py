@@ -2,11 +2,27 @@
 the coded builds."""
 
 import hashlib
+import os
+import subprocess
+import sys
 from importlib import import_module
+from pathlib import Path
 
 import pytest
+from util import theorem_shapes
 
-from kncrystals import CartanType, local_table
+import kncrystals
+from kncrystals import (
+    CartanType,
+    combinatorial_r,
+    energy_DL,
+    energy_DR,
+    energy_report,
+    iter_tensor_elements,
+    local_energy,
+    local_table,
+    shape_heights,
+)
 from kncrystals.errors import EnergyInconsistent, NoMatchingComponent
 
 energy_module = import_module("kncrystals.energy")
@@ -128,3 +144,116 @@ def test_uncorrupted_copies_build_the_same_tables(monkeypatch):
         swapped = energy_module._pair_keys(C3, hr, hl)
         assert [(keys[p], swapped[image[p]]) for p in order] == list(table.sigma.items())
         assert [(keys[p], values[p]) for p in h_order] == list(table.h.items())
+
+
+def _reference_terms(b):
+    """The D^L and D^R pair terms, transported through the public pair maps.
+
+    Keys follow :class:`EnergyReport`: factors are numbered right to left.
+    """
+    ct, fac = b.cartan, b.factors
+    n = len(fac)
+    left, right = {}, {}
+    for q0 in range(1, n):
+        moving = fac[q0]
+        for q in range(q0 - 1, -1, -1):
+            left[(n - q, n - q0)] = local_energy(ct, fac[q], moving)
+            moving = combinatorial_r(ct, fac[q], moving)[0]
+    for q0 in range(n - 1):
+        moving = fac[q0]
+        for q in range(q0 + 1, n):
+            right[(n - q0, n - q)] = local_energy(ct, moving, fac[q])
+            moving = combinatorial_r(ct, moving, fac[q])[1]
+    return left, right
+
+
+def test_coded_transport_matches_the_pair_maps():
+    for ct, mu in theorem_shapes():
+        for b in iter_tensor_elements(ct, shape_heights(ct, mu)):
+            left, right = _reference_terms(b)
+            report = energy_report(b)
+            assert report.left_terms == left, b
+            assert report.right_terms == right, b
+            assert energy_DL(b) == report.d_left == sum(left.values()), b
+            assert energy_DR(b) == report.d_right == sum(right.values()), b
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        ((1, 2), (1, 2, 3)),  # the right column has the wrong height
+        ((1, 3), (9,)),  # not a column of C3
+        ((1, 3), (1,), (2,)),  # three columns
+        ((1, 3),),
+        None,
+        "ab",
+        ([1, 3], (1,)),  # unhashable
+        3,
+    ],
+)
+def test_views_raise_key_error_off_the_columns(key):
+    table = local_table(C3, 2, 1)
+    for view in (table.sigma, table.h):
+        with pytest.raises(KeyError):
+            view[key]
+        assert key not in view
+        assert view.get(key) is None
+    assert table.sigma[((1, 3), (2,))] in table.sigma.values()
+
+
+def _python(code):
+    """Run ``code`` in a fresh interpreter on the package under test."""
+    src = str(Path(kncrystals.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+_TRANSPORT_BUILDS_NO_PAIR_KEYS = """
+import random
+from kncrystals import CartanType, TensorElement, columns, energy_DL, local_table
+from kncrystals.energy import _pair_keys
+ct, heights = CartanType("C", 4), (4, 3, 2, 1)
+for hl in heights:
+    for hr in heights:
+        len(local_table(ct, hl, hr).sigma)
+rng = random.Random(7)
+pools = [columns(ct, h) for h in heights]
+for _ in range(1000):
+    energy_DL(TensorElement(ct, tuple(rng.choice(p) for p in pools)))
+print(_pair_keys.cache_info().currsize)
+table = local_table(ct, 4, 3)
+print(len(table.sigma) == len(table.h) == table.n_left * table.n_right)
+print(_pair_keys.cache_info().currsize)
+"""
+
+
+def test_set_up_and_transport_build_no_pair_keys():
+    assert _python(_TRANSPORT_BUILDS_NO_PAIR_KEYS) == ["0", "True", "0"]
+
+
+_RETAINED_BY_ONE_TABLE = """
+import gc, tracemalloc
+from kncrystals import CartanType, local_table
+C5 = CartanType("C", 5)
+local_table(C5, 4, 5)  # the swap builds every column map that (5, 4) reads
+tracemalloc.start()
+table = local_table(C5, 5, 4)
+gc.collect()
+print(len(table.sigma), tracemalloc.get_traced_memory()[0])
+"""
+
+
+def test_a_table_retains_its_arrays_only():
+    # 132 x 165 pairs: four arrays of 14 bytes a pair together, about 300 KB;
+    # tuple-keyed dicts of the same table retained about 1.2 MB
+    entries, retained = map(int, _python(_RETAINED_BY_ONE_TABLE))
+    assert entries == 132 * 165
+    assert retained < 512 * 1024
