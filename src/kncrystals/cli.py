@@ -133,9 +133,7 @@ def cmd_verify(args):
     heights = _heights(args, ct)
     mu = _parse_ints(args.mu) if args.mu else None
     suites = tuple(args.suites.split(",")) if args.suites else None
-    report = run_verify(
-        ct, heights, mu=mu, suites=suites, jobs=args.jobs, budget=args.budget
-    )
+    report = run_verify(ct, heights, mu=mu, suites=suites, budget=args.budget)
     print(report.to_json() if args.json else report.to_text())
     return 0 if report.passed else 1
 
@@ -208,7 +206,6 @@ def build_parser():
     p = subs.add_parser("verify", help="exhaustive identity checks on a shape")
     _add_shape_options(p, mu_required=True)
     p.add_argument("--suites", help=f"comma list from {','.join(SUITE_NAMES)}")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--budget", type=int, help="vertex cap (default 5e6)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)

@@ -62,8 +62,8 @@ class CartanType:
         if self.n < 2:
             raise ValueError("rank parameter n must be at least 2")
         # every cache lookup hashes the type, so the hash is computed once;
-        # from ints only, so it is the same in every interpreter, which keeps
-        # a pickled copy (sent to a --jobs worker) consistent with fresh ones
+        # from ints only, so it is the same in every interpreter (str hashes
+        # are salted per process) and a pickled copy hashes like a fresh one
         object.__setattr__(self, "_hash", hash((self.n, self.family == "C")))
 
     def __hash__(self):
@@ -559,6 +559,19 @@ def check_budget(ct, heights, budget=None):
     return size
 
 
+def _check_rank_work(ct, heights, budget=None):
+    """``check_budget`` for a route that does n-entry work on every vertex.
+
+    Such a route costs vertices x n, so that product is held to the budget.
+    """
+    cap = VERTEX_BUDGET if budget is None else budget
+    size = check_budget(ct, heights, budget)
+    if size * ct.n > cap:
+        raise ShapeTooLarge(
+            f"{size} vertices x rank {ct.n} of per-vertex work exceed the budget {cap}"
+        )
+
+
 def tensor_elements(ct, heights, budget=None):
     """All vertices of the shape, in sort-key order (the columns are sorted)."""
     check_budget(ct, heights, budget)
@@ -581,7 +594,10 @@ class CrystalGraph:
 
 
 def crystal_graph(ct, heights, include_zero=True, budget=None):
-    verts = tensor_elements(ct, tuple(heights), budget=budget)
+    heights = tuple(heights)
+    # every f_i runs on every vertex
+    _check_rank_work(ct, heights, budget)
+    verts = list(iter_tensor_elements(ct, heights))
     indices = list(ct.index_set) if include_zero else list(ct.classical_indices)
     edges = []
     for v in verts:
@@ -589,5 +605,5 @@ def crystal_graph(ct, heights, include_zero=True, budget=None):
             w = f(v, i)
             if w is not None:
                 edges.append((v, i, w))
-    return CrystalGraph(ct, tuple(heights), include_zero, tuple(verts), tuple(edges))
+    return CrystalGraph(ct, heights, include_zero, tuple(verts), tuple(edges))
 

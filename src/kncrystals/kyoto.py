@@ -66,19 +66,24 @@ def ground_states(ct, heights, budget=100_000):
     # the column tables, budget-checked, come before any weight vector
     by_eps = [_columns_by_eps(ct, h) for h in reversed(heights)]
     out = []
-    # chains b_1, b_2, ... on a stack, so no recursion limit bounds the depth
-    stack = [((), ct.fundamental(0))]
+    # chains b_1, b_2, ... on a stack, so no recursion limit bounds the depth;
+    # a chain is a (b_k, chain of b_1 .. b_{k-1}) cell, so chains share their
+    # prefixes and each step costs the same at any depth
+    stack = [(0, None, ct.fundamental(0))]
     while stack:
-        chain, want = stack.pop()
-        k = len(chain)
+        k, chain, want = stack.pop()
         if k < len(heights):
             for col in by_eps[k].get(want, ()):
-                stack.append((chain + (col,), column_phi_weight(ct, col)))
+                stack.append((k + 1, (col, chain), column_phi_weight(ct, col)))
             continue
         h = _fundamental_index(ct, want)
         if h is None:
             raise NotFundamental(f"ground state weight {want} is not fundamental")
-        out.append(GroundState(TensorElement(ct, chain[::-1]), h))
+        factors = []  # b_N .. b_1, left to right
+        while chain is not None:
+            col, chain = chain
+            factors.append(col)
+        out.append(GroundState(TensorElement(ct, tuple(factors)), h))
         if len(out) > budget:
             raise ShapeTooLarge(f"more than {budget} ground states")
     out.sort(key=lambda g: g.element.sort_key())

@@ -26,6 +26,7 @@ from .charge import (
 from .core import (
     VERTEX_BUDGET,
     TensorElement,
+    _check_rank_work,
     check_budget,
     column_content,
     columns,
@@ -158,14 +159,12 @@ class _PrefixScan:
     a full garbage collection.
     """
 
-    def __init__(self, ct, heights, first, energy):
+    def __init__(self, ct, heights, energy):
         _require_sorted(heights)
         self.ct = ct
         self.pools = [
             [(col, column_content(ct, col)) for col in columns(ct, h)] for h in heights
         ]
-        if first is not None:
-            self.pools[0] = self.pools[0][first[0] : first[1]]
         self.halves = 2 if ct.family == "C" else 1
         self.arm = _arm_table(heights, self.halves)
         self.energy = energy
@@ -193,7 +192,7 @@ class _PrefixScan:
                 yield tuple(factors), _halve(a, halves, factors), d, w
 
 
-def _prefix_scan(ct, heights, first=None, _energy=True):
+def _prefix_scan(ct, heights, _energy=True):
     """Every vertex of the product with its charge, D^L and weight.
 
     A depth-first walk over ``columns(ct, h_1) x ... x columns(ct, h_N)``
@@ -205,11 +204,10 @@ def _prefix_scan(ct, heights, first=None, _energy=True):
     one D^L chain that starts at p.  Charge and D^L stay the independent
     routes of ``charge`` and ``energy_DL``.
 
-    ``first`` is a ``(start, stop)`` range of the first factor's columns.
     Returns an iterator of ``(factors, charge, D^L, weight)`` in product
     order; with ``_energy`` false no D^L chain runs and D^L reads None.
     """
-    scan = _PrefixScan(ct, tuple(heights), first, _energy)
+    scan = _PrefixScan(ct, tuple(heights), _energy)
     return scan.walk(0, None, 0, 0 if _energy else None, (0,) * ct.n)
 
 
@@ -219,19 +217,6 @@ def macdonald_p_q0(ct, mu, budget=None):
     return QXPolynomial.from_dict(
         Counter((c, wt) for _, c, _, wt in _prefix_scan(ct, heights, _energy=False))
     )
-
-
-def _check_rank_work(ct, heights, budget=None):
-    """``check_budget`` for a route that does n-entry work on every vertex.
-
-    Such a route costs vertices x n, so that product is held to the budget.
-    """
-    cap = VERTEX_BUDGET if budget is None else budget
-    size = check_budget(ct, heights, budget)
-    if size * ct.n > cap:
-        raise ShapeTooLarge(
-            f"{size} vertices x rank {ct.n} of per-vertex work exceed the budget {cap}"
-        )
 
 
 def highest_weight_elements(ct, heights, budget=None):

@@ -7,7 +7,6 @@ routes.  The headline check is the energy/charge identity D(b) = -charge(b).
 
 from __future__ import annotations
 
-import os
 import time
 from collections import Counter
 
@@ -16,7 +15,6 @@ from .core import (
     CartanType,
     TensorElement,
     check_budget,
-    columns,
     e,
     eps,
     f,
@@ -39,40 +37,12 @@ from .qpoly import _prefix_scan
 from .serialize import VerifyReport
 
 
-def _first_ranges(pool_size, jobs):
-    """Contiguous ranges of the first factor's columns, one per worker.
-
-    ``jobs`` is capped at the CPU count and at the pool size.
-    """
-    jobs = max(1, min(jobs, os.cpu_count() or 1, pool_size))
-    bounds = [pool_size * k // jobs for k in range(jobs + 1)]
-    return list(zip(bounds, bounds[1:]))
-
-
-def _theorem_chunk(args):
-    ct, heights, first = args
+def _suite_theorem(ct, heights):
     worst = 0
     checks = 0
-    for _, c, d, _ in _prefix_scan(ct, heights, first):
+    for _, c, d, _ in _prefix_scan(ct, heights):
         worst = max(worst, abs(d + c))
         checks += 1
-    return worst, checks
-
-
-def _suite_theorem(ct, heights, jobs=1):
-    ranges = _first_ranges(len(columns(ct, heights[0])), jobs)
-    tasks = [(ct, heights, r) for r in ranges]
-    if len(tasks) > 1:
-        # imported here: multiprocessing adds about 2 MB to a bare
-        # interpreter, and only --jobs needs it
-        from multiprocessing import get_context
-
-        with get_context("spawn").Pool(len(tasks)) as pool:
-            parts = pool.map(_theorem_chunk, tasks)
-    else:
-        parts = [_theorem_chunk(tasks[0])]
-    worst = max(w for w, _ in parts)
-    checks = sum(c for _, c in parts)
     return worst == 0, checks, worst
 
 
@@ -174,7 +144,7 @@ _SUITES = {
 SUITE_NAMES = ("theorem",) + tuple(_SUITES)
 
 
-def run_verify(ct, heights, mu=None, suites=None, jobs=1, budget=None):
+def run_verify(ct, heights, mu=None, suites=None, budget=None):
     """Run the selected suites over one shape and assemble a report.
 
     Unknown suite names raise ``ValueError`` before any suite runs.
@@ -190,7 +160,7 @@ def run_verify(ct, heights, mu=None, suites=None, jobs=1, budget=None):
     worst = 0
     for name in wanted:
         if name == "theorem":
-            passed, checks, worst = _suite_theorem(ct, heights, jobs=jobs)
+            passed, checks, worst = _suite_theorem(ct, heights)
         else:
             tally = Counter(_SUITES[name](ct, heights))
             passed, checks = not tally[False], tally[True] + tally[False]

@@ -377,7 +377,7 @@ print([hash(f) for f in fresh])
 
 
 def test_cartan_hash_is_the_same_in_every_interpreter():
-    # a type pickled into a --jobs worker must hash like the worker's own
+    # a type pickled in one interpreter must hash like the other's own
     blob = pickle.dumps([CartanType("A", 3), CartanType("C", 4)])
     src = str(Path(kncrystals.__file__).resolve().parents[1])
     outputs = []

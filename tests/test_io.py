@@ -1,5 +1,8 @@
+import argparse
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -19,7 +22,7 @@ from kncrystals import (
     parse_filling,
     serialize_filling,
 )
-from kncrystals.cli import main
+from kncrystals.cli import build_parser, main
 from kncrystals.errors import AdmissibilityViolation, CrystalError, ParseError
 
 A5 = CartanType("A", 6)
@@ -153,11 +156,35 @@ def test_cli_verify_json(capsys):
 
 
 def test_cli_verify_mu_and_jobs(capsys):
-    rc = main(["verify", "-t", "A", "-n", "3", "--mu", "2,1", "--jobs", "2",
-               "--suites", "theorem"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "max |D + charge|: 0" in out
+    argv = ["verify", "-t", "A", "-n", "3", "--mu", "2,1", "--suites", "theorem"]
+    assert main(argv) == 0
+    assert "max |D + charge|: 0" in capsys.readouterr().out
+    # verify runs in one process: --jobs is not an option
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--jobs", "2"])
+    assert info.value.code == 2
+
+
+def _readme_usage():
+    """The ``kncrystals`` lines of README's "Command line" block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("kncrystals ")]
+
+
+@pytest.mark.parametrize("line", _readme_usage(), ids=lambda line: line.split()[1])
+def test_readme_usage_runs(capsys, line):
+    command, _, comment = line.partition("#")
+    groups = re.findall(r"\[([^]]*)\]", command)
+    argv = shlex.split(re.sub(r"\[[^]]*\]", "", command))[1:]
+    assert main(argv) == 0, line
+    shown = re.search(r"->\s*(\S+)", comment)
+    if shown:
+        assert capsys.readouterr().out.strip() == shown.group(1)
+    subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = subs.choices[argv[0]]._option_string_actions
+    for flag in re.findall(r"--[\w-]+", " ".join(groups)):
+        assert flag in options, (line, flag)
 
 
 def test_cli_graph_classical(capsys):
@@ -224,15 +251,15 @@ def test_cli_bench_smoke(capsys):
     assert data["schema_version"] == 2
 
 
-def _python(*args):
-    """Run a fresh interpreter on the package under test; a hang fails after 30 s."""
+def _python(*args, timeout=30):
+    """Run a fresh interpreter on the package under test; a hang fails after ``timeout`` s."""
     src = str(Path(kncrystals.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
-        timeout=30,
+        timeout=timeout,
         env={**os.environ, "PYTHONPATH": path},
     )
 
@@ -262,6 +289,7 @@ def test_cli_macdonald_refuses_a_huge_first_part_at_once(mu):
         ["xsum", "-t", "A", "-n", "3", "--mu", "10000000", "--lambda", "1"],
         # within the vertex budget, but an n-entry check on every vertex
         ["kostka", "-t", "A", "-n", "3555922", "--mu", "1", "--lambda", "1,0"],
+        ["graph", "-t", "A", "-n", "3000000", "--heights", "1", "--classical"],
     ],
 )
 def test_cli_refuses_over_budget_work_at_once(argv):
@@ -272,11 +300,21 @@ def test_cli_refuses_over_budget_work_at_once(argv):
     assert "ShapeTooLarge" in done.stderr
 
 
-def test_cli_ground_states_of_many_factors():
-    done = _python("-m", "kncrystals.cli", "ground-states", "-t", "A", "-n", "2",
-                   "--heights", ",".join(["1"] * 2000))
+def test_cli_graph_within_the_rank_budget():
+    done = _python("-m", "kncrystals.cli", "graph", "-t", "A", "-n", "600",
+                   "--heights", "1", "--classical")
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[0] == "1"
+    assert done.stdout.count("->") == 599
+
+
+def test_cli_ground_states_of_many_factors():
+    # chains share their prefixes, so the work is linear in the factor count
+    done = _python("-m", "kncrystals.cli", "ground-states", "-t", "A", "-n", "2",
+                   "--mu", "200000", timeout=20)
+    assert done.returncode == 0, done.stderr
+    count, state = done.stdout.splitlines()
+    assert count == "1"
+    assert state.count("|") == 200000 - 1
 
 
 def test_cli_verify_under_optimize_flag():

@@ -1,9 +1,7 @@
 """The prefix-sharing scan against the per-element routes, which stay the
 oracle."""
 
-import os
 from array import array
-from importlib import import_module
 
 import pytest
 from util import theorem_shapes
@@ -22,8 +20,6 @@ from kncrystals import (
 )
 from kncrystals.errors import OddArmSum, ShapeTooLarge
 from kncrystals.qpoly import _prefix_scan, highest_weight_elements
-
-verify_module = import_module("kncrystals.verify")
 
 C2 = CartanType("C", 2)
 C3 = CartanType("C", 3)
@@ -45,13 +41,6 @@ def test_scan_matches_per_element_routes():
         assert list(_prefix_scan(ct, heights)) == want, (ct, heights)
 
 
-def test_scan_first_ranges_partition_the_product():
-    ct, heights = C3, (2, 2, 1)
-    whole = list(_prefix_scan(ct, heights))
-    parts = [list(_prefix_scan(ct, heights, r)) for r in ((0, 5), (5, 9), (9, 14))]
-    assert sum(parts, []) == whole
-
-
 def test_theorem_scan_still_compares_both_routes():
     # every vertex of C3 (2,2,1) meets the (2,2) table in its first chain;
     # the table is shared, so its coded H is raised in place and restored
@@ -64,6 +53,7 @@ def test_theorem_scan_still_compares_both_routes():
         energies[:] = saved
     assert not report.passed
     assert report.max_discrepancy > 0
+    assert report.suites["theorem"]["checks"] == 14 * 14 * 6
 
 
 def test_scan_descent_inside_a_split_pair_raises(monkeypatch):
@@ -93,23 +83,3 @@ def test_macdonald_runs_no_energy_chain(monkeypatch):
     monkeypatch.setattr(qpoly_module, "_left_chain", fail)
     assert macdonald_p_q0(C3, (2, 1)) == want
     assert {d for _, _, d, _ in _prefix_scan(C3, (2, 1), _energy=False)} == {None}
-
-
-def test_first_ranges_cap_jobs(monkeypatch):
-    ranges = verify_module._first_ranges
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    assert ranges(27, 10**9) == [(0, 6), (6, 13), (13, 20), (20, 27)]
-    assert ranges(27, 1) == [(0, 27)]
-    assert ranges(27, 0) == [(0, 27)]
-    assert ranges(3, 10**9) == [(0, 1), (1, 2), (2, 3)]
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert ranges(27, 8) == [(0, 27)]
-
-
-def test_parallel_theorem_scan_matches_serial(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    serial = run_verify(C3, (2, 2, 1), suites=("theorem",))
-    parallel = run_verify(C3, (2, 2, 1), suites=("theorem",), jobs=2)
-    assert parallel.suites == serial.suites
-    assert parallel.max_discrepancy == serial.max_discrepancy == 0
-    assert serial.suites["theorem"]["checks"] == 14 * 14 * 6
