@@ -563,6 +563,7 @@ def _check_rank_work(ct, heights, budget=None):
     """``check_budget`` for a route that does n-entry work on every vertex.
 
     Such a route costs vertices x n, so that product is held to the budget.
+    Returns the vertex count.
     """
     cap = VERTEX_BUDGET if budget is None else budget
     size = check_budget(ct, heights, budget)
@@ -570,6 +571,7 @@ def _check_rank_work(ct, heights, budget=None):
         raise ShapeTooLarge(
             f"{size} vertices x rank {ct.n} of per-vertex work exceed the budget {cap}"
         )
+    return size
 
 
 def tensor_elements(ct, heights, budget=None):

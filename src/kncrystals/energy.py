@@ -4,11 +4,12 @@ The R-matrix for an ordered pair of single-column crystals is computed by
 classical-highest matching: raise the element, match the unique classical
 highest element of the swapped product with the same weight (the two-column
 decomposition is multiplicity free in both types), and lower by the mirrored
-word.  The local energy H is produced by a breadth-first walk of the affine
-crystal graph of the pair: it changes by -1 across an e_0 edge acting on the
-left factor both before and after the R-matrix (LL), by +1 when acting on the
-right in both (RR), and is constant otherwise, normalized to 0 at the tensor
-product of the two generator columns.
+word.  That walk visits the pair one classical component at a time, in
+lockstep with the image.  The local energy H is constant on each classical
+component: it changes by -1 across an e_0 edge acting on the left factor
+both before and after the R-matrix (LL), by +1 when acting on the right in
+both (RR), and by 0 otherwise, normalized to 0 at the tensor product of the
+two generator columns.
 
 Both walks run over integer codes.  A column's code is its position in
 ``columns(ct, h)``, so the generator is 0, and a pair of columns has the
@@ -17,8 +18,8 @@ flat tuples by code: eps, phi, and the codes of the f and e targets, -1
 where the operator is undefined.  A :class:`LocalEnergyTable` keeps flat
 arrays by pair code; the energy transports code the columns they meet and
 carry the moving factor as its code, so no pair of columns is built.  Its
-``sigma`` and ``h`` are read-only mappings over the arrays, with keys in
-visit order from one cached tuple of pair keys per (type, left height,
+``sigma`` and ``h`` are read-only mappings over the arrays, iterated in
+pair-code order from one cached tuple of pair keys per (type, left height,
 right height), built only when a view is iterated or sigma is read: H
 shares the keys of sigma, and the values of sigma are the keys of the
 swapped table.
@@ -44,7 +45,7 @@ from itertools import product
 from .core import (
     DEMAZURE_LEVEL,
     TensorElement,
-    check_budget,
+    _check_rank_work,
     column_content,
     column_e,
     column_eps_phi,
@@ -95,17 +96,17 @@ def _pair_keys(ct, h_left, h_right):
 
 
 class _PairView(Mapping):
-    """Read-only (left, right) -> ``value(pair code)``, iterated in ``order``."""
+    """Read-only (left, right) -> ``value(pair code)``, iterated in code order."""
 
-    def __init__(self, ct, h_left, h_right, order, value):
-        self._shape, self._order, self._value = (ct, h_left, h_right), order, value
+    def __init__(self, ct, h_left, h_right, value):
+        self._shape, self._value = (ct, h_left, h_right), value
         self._left, self._right = _column_index(ct, h_left), _column_index(ct, h_right)
 
     def __len__(self):
-        return len(self._order)
+        return len(self._left) * len(self._right)
 
     def __iter__(self):
-        return map(_pair_keys(*self._shape).__getitem__, self._order)
+        return iter(_pair_keys(*self._shape))
 
     def __getitem__(self, pair):
         try:
@@ -129,8 +130,6 @@ class LocalEnergyTable:
     right_index: dict
     image: array  # by pair code l * n_right + r: sigma's image l' * n_left + r'
     energies: array  # by pair code: H
-    order: array  # pair codes in the visit order of the sigma walk
-    h_order: array  # and of the H walk
     sigma: Mapping  # (left, right) -> (left', right') in the swapped product
     h: Mapping  # (left, right) -> int
 
@@ -154,23 +153,31 @@ def _highest_codes(ct, h, h_other):
 
 
 def _build_sigma(ct, h_left, h_right):
-    """sigma by code: the pair codes in visit order and the image code of each.
+    """sigma by code, walked one classical component at a time.
 
-    The image of a pair lives in the swapped product, so its code is
-    ``l' * |B_left| + r'``.  Each classical component is walked in lockstep
-    with its image from the matching highest elements.
+    Returns ``(components, label, image)``: the pair codes of each component
+    in walk order from its highest pair, the component of every pair code,
+    and the image code of every pair code.  The image lives in the swapped
+    product, so its code is ``l' * |B_left| + r'``.  Each component is walked
+    in lockstep with its image from the matching highest elements; a
+    classical f edge must land inside the component, on the image it maps
+    to there.
     """
     n_left, n_right = len(columns(ct, h_left)), len(columns(ct, h_right))
     swapped_candidates = {}
     for x, wt in _highest_codes(ct, h_right, h_left):
         swapped_candidates.setdefault(wt, []).append(x * n_left)
 
+    def key(p):  # the pair of columns with code p, for an error message
+        return _pair_keys(ct, h_left, h_right)[p]
+
     image = [-1] * (n_left * n_right)
-    order = []
+    label = [-1] * len(image)
+    components = []
     # per classical index: the maps of the left height, then of the right
     # height; the image's factors have the heights reversed
     plan = [
-        _column_codes(ct, h_left, i)[:3] + _column_codes(ct, h_right, i)[:3]
+        (i,) + _column_codes(ct, h_left, i)[:3] + _column_codes(ct, h_right, i)[:3]
         for i in ct.classical_indices
     ]
     for x, wt in _highest_codes(ct, h_left, h_right):
@@ -180,13 +187,15 @@ def _build_sigma(ct, h_left, h_right):
                 f"{len(matches)} highest elements of weight {wt} in the swap of "
                 f"({h_left},{h_right}) over {ct}"
             )
-        start = x * n_right
-        image[start] = matches[0]
+        c, start = len(components), x * n_right
+        if label[start] >= 0:
+            raise NoMatchingComponent(f"the highest pair {key(start)} is walked twice")
+        image[start], label[start] = matches[0], c
         queue = [start]
         for p in queue:
             al, ar = divmod(p, n_right)
             bl, br = divmod(image[p], n_left)
-            for eps_l, phi_l, f_l, eps_r, phi_r, f_r in plan:
+            for i, eps_l, phi_l, f_l, eps_r, phi_r, f_r in plan:
                 if eps_l[al] >= phi_r[ar]:
                     t = f_l[al]
                     fa = -1 if t < 0 else t * n_right + ar
@@ -200,27 +209,32 @@ def _build_sigma(ct, h_left, h_right):
                     t = f_l[br]
                     fb = -1 if t < 0 else bl * n_left + t
                 if (fa < 0) != (fb < 0):
-                    raise NoMatchingComponent(
-                        f"component walk out of step at "
-                        f"{_pair_keys(ct, h_left, h_right)[p]}"
-                    )
-                if fa >= 0 and image[fa] < 0:
-                    image[fa] = fb
+                    raise NoMatchingComponent(f"component walk out of step at {key(p)}")
+                if fa < 0:
+                    continue
+                if label[fa] < 0:
+                    image[fa], label[fa] = fb, c
                     queue.append(fa)
-        order += queue
-    if len(order) != len(image):
+                elif label[fa] != c or image[fa] != fb:
+                    raise NoMatchingComponent(
+                        f"f_{i} at {key(p)} leaves the component walk"
+                    )
+        components.append(queue)
+    covered = sum(map(len, components))
+    if covered != len(image):
         raise NoMatchingComponent(
-            f"sigma table covers {len(order)} of {len(image)} elements for "
+            f"sigma table covers {covered} of {len(image)} elements for "
             f"({h_left},{h_right}) over {ct}"
         )
-    return order, image
+    return components, label, image
 
 
-def _build_h(ct, h_left, h_right, image):
-    """Affine BFS from the generator pair, applying the LL/RR recursion.
+def _build_h(ct, h_left, h_right, components, label, image):
+    """H by pair code: one value per classical component of ``_build_sigma``.
 
-    ``image`` is the sigma image code of every pair code.  Returns the pair
-    codes in visit order and the H value of each.
+    H is constant along classical arrows, so the walk runs over components,
+    from the generator pair's component at 0, across the e_0 and f_0 edges
+    of their pairs by the LL/RR recursion.
     """
     n_left, n_right = len(columns(ct, h_left)), len(columns(ct, h_right))
     eps0_l, phi0_l, f0_l, e0_l = _column_codes(ct, h_left, 0)
@@ -254,97 +268,58 @@ def _build_h(ct, h_left, h_right, image):
             return up, 2 * side - 1
         return up, 0
 
-    def differs(q, old, val):
-        return EnergyInconsistent(f"H differs at {key(q)}: {old} != {val}")
+    def reach(q, val):  # H is val on the component of pair q
+        d = label[q]
+        old = h_of[d]
+        if old is None:
+            h_of[d] = val
+            queue.append(d)
+        elif old != val:
+            raise EnergyInconsistent(f"H differs at {key(q)}: {old} != {val}")
 
-    plan = [
-        _column_codes(ct, h_left, i) + _column_codes(ct, h_right, i)
-        for i in ct.classical_indices
-    ]
-    hv = [None] * len(image)
-    hv[0] = 0
-    queue = [0]
-    for w in queue:
-        wl, wr = divmod(w, n_right)
-        hw = hv[w]
-        up, delta = e0_delta(w)
-        if up >= 0:
-            val = hw + delta
-            old = hv[up]
-            if old is None:
-                hv[up] = val
-                queue.append(up)
-            elif old != val:
-                raise differs(up, old, val)
-        if eps0_l[wl] >= phi0_r[wr]:
-            t = f0_l[wl]
-            down = -1 if t < 0 else t * n_right + wr
-        else:
-            t = f0_r[wr]
-            down = -1 if t < 0 else wl * n_right + t
-        if down >= 0:
-            back, delta = e0_delta(down)
-            if back != w:
-                raise EnergyInconsistent(f"e_0 does not undo f_0 at {key(w)}")
-            val = hw - delta
-            old = hv[down]
-            if old is None:
-                hv[down] = val
-                queue.append(down)
-            elif old != val:
-                raise differs(down, old, val)
-        for eps_l, phi_l, f_l, e_l, eps_r, phi_r, f_r, e_r in plan:
-            a = eps_l[wl]
-            b = phi_r[wr]
-            if a >= b:
-                t = f_l[wl]
-                nxt = -1 if t < 0 else t * n_right + wr
+    h_of = [None] * len(components)  # H of each component
+    h_of[label[0]] = 0
+    queue = [label[0]]
+    for c in queue:
+        hc = h_of[c]
+        for w in components[c]:
+            up, delta = e0_delta(w)
+            if up >= 0:
+                reach(up, hc + delta)
+            wl, wr = divmod(w, n_right)
+            if eps0_l[wl] >= phi0_r[wr]:
+                t = f0_l[wl]
+                down = -1 if t < 0 else t * n_right + wr
             else:
-                t = f_r[wr]
-                nxt = -1 if t < 0 else wl * n_right + t
-            if nxt >= 0:
-                old = hv[nxt]
-                if old is None:
-                    hv[nxt] = hw
-                    queue.append(nxt)
-                elif old != hw:
-                    raise differs(nxt, old, hw)
-            if a > b:
-                t = e_l[wl]
-                nxt = -1 if t < 0 else t * n_right + wr
-            else:
-                t = e_r[wr]
-                nxt = -1 if t < 0 else wl * n_right + t
-            if nxt >= 0:
-                old = hv[nxt]
-                if old is None:
-                    hv[nxt] = hw
-                    queue.append(nxt)
-                elif old != hw:
-                    raise differs(nxt, old, hw)
-    if len(queue) != len(image):
+                t = f0_r[wr]
+                down = -1 if t < 0 else wl * n_right + t
+            if down >= 0:
+                back, delta = e0_delta(down)
+                if back != w:
+                    raise EnergyInconsistent(f"e_0 does not undo f_0 at {key(w)}")
+                reach(down, hc - delta)
+    if len(queue) != len(components):
         raise NoMatchingComponent(
             f"affine graph of ({h_left},{h_right}) over {ct} is not connected"
         )
-    return queue, hv
+    return [h_of[c] for c in label]
 
 
 @lru_cache(maxsize=None)
 def local_table(ct, h_left, h_right):
-    check_budget(ct, (h_left, h_right))
-    order, image = _build_sigma(ct, h_left, h_right)
-    h_order, hv = _build_h(ct, h_left, h_right, image)
+    # the column codes and the sigma walk do rank-n work on every pair
+    _check_rank_work(ct, (h_left, h_right))
+    components, label, image = _build_sigma(ct, h_left, h_right)
+    hv = _build_h(ct, h_left, h_right, components, label, image)
     image, hv = array("i", image), array("h", hv)  # "h" raises OverflowError
-    order, h_order = array("i", order), array("i", h_order)
 
     def sigma(p):
         return _pair_keys(ct, h_right, h_left)[image[p]]
 
     left, right = _column_index(ct, h_left), _column_index(ct, h_right)
     return LocalEnergyTable(
-        ct, h_left, h_right, len(left), len(right), left, right, image, hv, order, h_order,
-        _PairView(ct, h_left, h_right, order, sigma),
-        _PairView(ct, h_left, h_right, h_order, hv.__getitem__),
+        ct, h_left, h_right, len(left), len(right), left, right, image, hv,
+        _PairView(ct, h_left, h_right, sigma), _PairView(ct, h_left, h_right, hv.__getitem__),
     )
 
 

@@ -214,6 +214,7 @@ def _prefix_scan(ct, heights, _energy=True):
 def macdonald_p_q0(ct, mu, budget=None):
     """P_mu(x; q, 0) as the charge generating function over B_mu."""
     heights = _budgeted_heights(ct, mu, budget)
+    _check_rank_work(ct, heights, budget)  # an n-entry weight at every scan node
     return QXPolynomial.from_dict(
         Counter((c, wt) for _, c, _, wt in _prefix_scan(ct, heights, _energy=False))
     )

@@ -14,7 +14,7 @@ from .charge import charge, charge_via_selection
 from .core import (
     CartanType,
     TensorElement,
-    check_budget,
+    _check_rank_work,
     e,
     eps,
     f,
@@ -154,7 +154,8 @@ def run_verify(ct, heights, mu=None, suites=None, budget=None):
     for name in wanted:
         if name not in SUITE_NAMES:
             raise ValueError(f"unknown suite {name!r}")
-    size = check_budget(ct, heights, budget)
+    # the weights and the per-index suites do rank-n work on every vertex
+    size = _check_rank_work(ct, heights, budget)
     t0 = time.perf_counter()
     report_suites = {}
     worst = 0

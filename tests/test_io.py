@@ -290,6 +290,10 @@ def test_cli_macdonald_refuses_a_huge_first_part_at_once(mu):
         # within the vertex budget, but an n-entry check on every vertex
         ["kostka", "-t", "A", "-n", "3555922", "--mu", "1", "--lambda", "1,0"],
         ["graph", "-t", "A", "-n", "3000000", "--heights", "1", "--classical"],
+        ["verify", "-t", "A", "-n", "3000000", "--heights", "1", "--suites", "charge"],
+        ["macdonald", "-t", "A", "-n", "4000", "--mu", "1"],
+        # a local energy table: pairs x n
+        ["energy", "A400; 1 | 2"],
     ],
 )
 def test_cli_refuses_over_budget_work_at_once(argv):
@@ -298,6 +302,17 @@ def test_cli_refuses_over_budget_work_at_once(argv):
     assert time.perf_counter() - start < 1
     assert done.returncode == 2
     assert "ShapeTooLarge" in done.stderr
+
+
+def test_cli_rank_work_within_the_budget():
+    # 2,000 vertices x rank 2,000 fit the budget: one monomial per letter
+    done = _python("-m", "kncrystals.cli", "macdonald", "-t", "A", "-n", "2000", "--mu", "1")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.count("1*q^0*x^(") == 2000
+    # and so do 100 x 100 pairs x rank 100 of a local energy table
+    done = _python("-m", "kncrystals.cli", "energy", "A100; 1 | 2")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0"]
 
 
 def test_cli_graph_within_the_rank_budget():

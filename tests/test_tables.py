@@ -29,47 +29,48 @@ energy_module = import_module("kncrystals.energy")
 
 C3 = CartanType("C", 3)
 
-# sha256 (first 16 hex digits) of repr(list(table.sigma.items())) and of
-# repr(list(table.h.items())), taken from the tuple-keyed builders that the
-# coded ones replaced; insertion order is part of the digest
+# sha256 (first 16 hex digits) of repr([(k, table.sigma[k]) for k in keys])
+# and of the same list for table.h, where keys = _pair_keys(ct, hl, hr) is
+# pair-code order; taken from the tables of the visit-order builders that
+# the component walk replaced
 PINNED = {
     # C4
-    ("C", 4, 4, 4): ("656c9fd88220942b", "5d75d972b0eb088c"),
-    ("C", 4, 4, 3): ("63f815d59a5c38db", "a6f59f04c1c8af95"),
-    ("C", 4, 4, 2): ("e41f18cbae2817e0", "763bc2b996203f07"),
-    ("C", 4, 4, 1): ("bdc32a1f2f7e863d", "d69e57631f09c1c9"),
-    ("C", 4, 3, 4): ("fe05031f0a781e7a", "42b8530d9aa382a6"),
-    ("C", 4, 3, 3): ("38ff1b4c2cf75cc1", "451124580560be89"),
-    ("C", 4, 3, 2): ("18b689b137b4f3d7", "d7adc4c528a22243"),
-    ("C", 4, 3, 1): ("bea622c4da36e49c", "faaa1d30cf40500b"),
-    ("C", 4, 2, 4): ("087d48378489c46d", "6da7661593fca151"),
-    ("C", 4, 2, 3): ("51b30870fd9b0a6c", "f865ffd3bc43e416"),
-    ("C", 4, 2, 2): ("56af786bd26bb710", "48456c17b65db79b"),
-    ("C", 4, 2, 1): ("7a152920dff25a13", "94ea9e5ed073f31d"),
-    ("C", 4, 1, 4): ("4b25ae63bab0121a", "31b15a2c9d0c03f1"),
-    ("C", 4, 1, 3): ("78f38de3a8857f20", "35f26c870b56d0c9"),
-    ("C", 4, 1, 2): ("4f1457d5512bc94a", "4a03b44434ccadde"),
-    ("C", 4, 1, 1): ("3557ab7c8e164119", "ab31c723904abbd6"),
+    ("C", 4, 4, 4): ("9d94e0906d12e668", "cea8771754c07085"),
+    ("C", 4, 4, 3): ("5a03a2ac5ef80de0", "183458c90e83a841"),
+    ("C", 4, 4, 2): ("a1c6ec0e9c6843a4", "7118e3d415b1095e"),
+    ("C", 4, 4, 1): ("e08f6f7365c07a65", "a60d80f52c79ea81"),
+    ("C", 4, 3, 4): ("0465f4752dad9faf", "93f6218cad98e4fa"),
+    ("C", 4, 3, 3): ("5900af11f23a42e9", "3fed360bc83550b3"),
+    ("C", 4, 3, 2): ("21378cbb9c23316a", "ef39fa01634602a7"),
+    ("C", 4, 3, 1): ("b541eee78529639a", "bc75bf0d884e02fb"),
+    ("C", 4, 2, 4): ("52bb8f7893bc2be6", "af7195fba04827ca"),
+    ("C", 4, 2, 3): ("f31d66e9446ee2b2", "75fa3f23fe5755a1"),
+    ("C", 4, 2, 2): ("f5b6013fb1e5ceef", "5184df3199a53baa"),
+    ("C", 4, 2, 1): ("ea2b83b9bafa441b", "74ae80c9f26243e7"),
+    ("C", 4, 1, 4): ("c01be9698491f176", "72e2a854f93caa9a"),
+    ("C", 4, 1, 3): ("e29a2039a99cba34", "b9b8c008be5f91ee"),
+    ("C", 4, 1, 2): ("ac8cba81e76f7c75", "b7d0386b75fcc206"),
+    ("C", 4, 1, 1): ("da8364d2079e52ac", "726b28ec559b956c"),
     # C3
-    ("C", 3, 3, 3): ("93cc766e09ce4309", "d459868b00e49752"),
-    ("C", 3, 3, 2): ("3b6f4b9ae3b5a28b", "d1fad9637bbe5a3a"),
-    ("C", 3, 3, 1): ("2eb0b1b5503d9415", "d77ce4c333998a20"),
-    ("C", 3, 2, 3): ("4fd97b50faf6c526", "983f9d64ff67b42d"),
-    ("C", 3, 2, 2): ("50d860d5642a1950", "3b9ac93e5903f270"),
-    ("C", 3, 2, 1): ("781535e469fead4f", "1f7f6348c42f9069"),
-    ("C", 3, 1, 3): ("2ca93fdcf6dc2128", "d7ca391a9eefb190"),
-    ("C", 3, 1, 2): ("99b337245bd435e5", "4eaee905c62634b4"),
-    ("C", 3, 1, 1): ("0e53338dc5de1d05", "9ca1c698184ce98a"),
+    ("C", 3, 3, 3): ("13235784c381563b", "a51293c08aa7ea70"),
+    ("C", 3, 3, 2): ("4a7f50f4637b34f7", "1823f42f6bc3dff7"),
+    ("C", 3, 3, 1): ("8f2f9defae9c12eb", "61d3216754ed3d12"),
+    ("C", 3, 2, 3): ("5aa5616328fc9a6f", "01db20aacad5911f"),
+    ("C", 3, 2, 2): ("300bc41db9167bf5", "cd69735ad8eec9d1"),
+    ("C", 3, 2, 1): ("bbd674678a4002c9", "ac2c1bacc222f6b3"),
+    ("C", 3, 1, 3): ("05d2e091f14eaaa0", "a2936cd8717f40f0"),
+    ("C", 3, 1, 2): ("4558f98d8bcb3549", "0a1140cb31b26347"),
+    ("C", 3, 1, 1): ("1c332e7f5fe0ee77", "9ff35d1e95866b06"),
     # A5
-    ("A", 5, 3, 3): ("794dadc429c4c907", "f0ca357019ccd08f"),
-    ("A", 5, 3, 2): ("9b1d353bc7083440", "2e8f840aaa917de0"),
-    ("A", 5, 3, 1): ("884f3bc9a88ed86c", "4128b9e650e2695a"),
-    ("A", 5, 2, 3): ("68743374216a54c9", "d2e7240e4bedd1fb"),
-    ("A", 5, 2, 2): ("1736d993bef9ffaf", "2051fab94d355d3a"),
-    ("A", 5, 2, 1): ("6c0d587498d8e937", "1a793e23b5275070"),
-    ("A", 5, 1, 3): ("6b44a0e43c597a22", "6a67d09f62cad844"),
-    ("A", 5, 1, 2): ("4155b1ab15e145e5", "82c914d3d4c8d016"),
-    ("A", 5, 1, 1): ("1b4e6c1659fdded1", "26a23cb8d610a4d7"),
+    ("A", 5, 3, 3): ("2ecb86f673a81f1b", "95f4c29893fe8510"),
+    ("A", 5, 3, 2): ("3d47d0134956f303", "39748797755e8f3a"),
+    ("A", 5, 3, 1): ("b40c5b6fc118bd7a", "88236813d58aa066"),
+    ("A", 5, 2, 3): ("124eebe64c026dfd", "42269512cbaf813a"),
+    ("A", 5, 2, 2): ("45703465859b0634", "e61a347c966471ca"),
+    ("A", 5, 2, 1): ("c6210dcfdecc9403", "b8d14512c372f45c"),
+    ("A", 5, 1, 3): ("881ed5682140e161", "3362902bfe414608"),
+    ("A", 5, 1, 2): ("05d74f90373950aa", "4a372ec9821909f6"),
+    ("A", 5, 1, 1): ("833c6e23c5aeedfc", "7ca4779f145c66bb"),
 }
 
 
@@ -79,9 +80,13 @@ def _digest(items):
 
 def test_tables_match_the_pinned_digests():
     for (family, n, hl, hr), (want_sigma, want_h) in PINNED.items():
-        table = local_table(CartanType(family, n), hl, hr)
-        assert _digest(table.sigma.items()) == want_sigma, (family, n, hl, hr)
-        assert _digest(table.h.items()) == want_h, (family, n, hl, hr)
+        ct = CartanType(family, n)
+        table = local_table(ct, hl, hr)
+        keys = energy_module._pair_keys(ct, hl, hr)
+        assert _digest((k, table.sigma[k]) for k in keys) == want_sigma, (family, n, hl, hr)
+        assert _digest((k, table.h[k]) for k in keys) == want_h, (family, n, hl, hr)
+        # the views iterate in pair-code order
+        assert tuple(table.sigma) == tuple(table.h) == keys
 
 
 def test_tables_share_their_pair_keys():
@@ -115,22 +120,30 @@ def _redirect_first(codes):
     codes[first] = (codes[first] + 1) % len(codes)
 
 
+SMALL_PAIRS = ((2, 1), (1, 2), (2, 2), (1, 1))
+CORRUPTIONS = [
+    # (height, index, slot, change, pairs built, match)
+    (1, 1, 2, _undefine_first, SMALL_PAIRS, None),  # a classical f undefined
+    (2, 2, 2, _redirect_first, SMALL_PAIRS, None),  # a classical f pointing elsewhere
+    (2, 0, 3, _undefine_first, SMALL_PAIRS, None),  # e_0 undefined
+    (1, 0, 3, _redirect_first, SMALL_PAIRS, None),  # e_0 pointing elsewhere
+    (1, 0, 2, _redirect_first, SMALL_PAIRS, None),  # f_0 pointing elsewhere
+    # a classical f into another component, caught at the edge
+    (3, 2, 2, _redirect_first, ((3, 3),), "leaves the component walk"),
+]
+
+
 @pytest.mark.parametrize(
-    "height, index, slot, change",
-    [
-        (1, 1, 2, _undefine_first),  # a classical f undefined
-        (2, 2, 2, _redirect_first),  # a classical f pointing elsewhere
-        (2, 0, 3, _undefine_first),  # e_0 undefined
-        (1, 0, 3, _redirect_first),  # e_0 pointing elsewhere
-        (1, 0, 2, _redirect_first),  # f_0 pointing elsewhere
-    ],
+    "height, index, slot, change, pairs, match",
+    CORRUPTIONS,
+    ids=[f"{h}-{i}-{slot}-{change.__name__}" for h, i, slot, change, *_ in CORRUPTIONS],
 )
-def test_corrupted_maps_fail_the_build(monkeypatch, height, index, slot, change):
+def test_corrupted_maps_fail_the_build(monkeypatch, height, index, slot, change, pairs, match):
     _corrupt(monkeypatch, height, index, slot, change)
-    with pytest.raises((NoMatchingComponent, EnergyInconsistent)):
-        for hl, hr in ((2, 1), (1, 2), (2, 2), (1, 1)):
-            order, image = energy_module._build_sigma(C3, hl, hr)
-            energy_module._build_h(C3, hl, hr, image)
+    with pytest.raises((NoMatchingComponent, EnergyInconsistent), match=match):
+        for hl, hr in pairs:
+            components, label, image = energy_module._build_sigma(C3, hl, hr)
+            energy_module._build_h(C3, hl, hr, components, label, image)
 
 
 def test_uncorrupted_copies_build_the_same_tables(monkeypatch):
@@ -138,12 +151,15 @@ def test_uncorrupted_copies_build_the_same_tables(monkeypatch):
     _corrupt(monkeypatch, None, None, 0, None)
     for hl, hr in ((2, 1), (3, 3)):
         table = local_table(C3, hl, hr)
-        order, image = energy_module._build_sigma(C3, hl, hr)
-        h_order, values = energy_module._build_h(C3, hl, hr, image)
+        components, label, image = energy_module._build_sigma(C3, hl, hr)
+        values = energy_module._build_h(C3, hl, hr, components, label, image)
         keys = energy_module._pair_keys(C3, hl, hr)
         swapped = energy_module._pair_keys(C3, hr, hl)
-        assert [(keys[p], swapped[image[p]]) for p in order] == list(table.sigma.items())
-        assert [(keys[p], values[p]) for p in h_order] == list(table.h.items())
+        assert [(k, swapped[image[p]]) for p, k in enumerate(keys)] == list(table.sigma.items())
+        assert [(k, values[p]) for p, k in enumerate(keys)] == list(table.h.items())
+        # each component is labelled as its own, and together they cover the pairs
+        covered = [p for c, part in enumerate(components) for p in part if label[p] == c]
+        assert sorted(covered) == list(range(len(keys)))
 
 
 def _reference_terms(b):
