@@ -497,6 +497,18 @@ def lusztig_involution(elem):
     return cur
 
 
+def column_involution(ct, col):
+    """S on a single column, in closed form: ``lusztig_involution`` of it.
+
+    The column is reversed and each letter x sent to n + 1 - x in type A
+    and to x-bar in type C; both maps reverse the total order, so the
+    result is increasing.
+    """
+    if ct.family == "A":
+        return tuple(ct.n + 1 - x for x in reversed(col))
+    return tuple(-x for x in reversed(col))
+
+
 # ---------------------------------------------------------------------------
 # enumeration and the crystal graph
 

@@ -20,9 +20,9 @@ arrays by pair code; the energy transports code the columns they meet and
 carry the moving factor as its code, so no pair of columns is built.  Its
 ``sigma`` and ``h`` are read-only mappings over the arrays, iterated in
 pair-code order from one cached tuple of pair keys per (type, left height,
-right height), built only when a view is iterated or sigma is read: H
-shares the keys of sigma, and the values of sigma are the keys of the
-swapped table.
+right height), built only when a view is iterated, not when sigma is read:
+a sigma read decodes the image code into its two columns, and H shares the
+keys of sigma.
 
 Both tables are memoized per (cartan type, left height, right height) and are
 immutable once built, so concurrent readers are safe; rebuilding a table is
@@ -50,6 +50,7 @@ from .core import (
     column_e,
     column_eps_phi,
     column_f,
+    column_involution,
     columns,
     e,
     eps,
@@ -313,10 +314,13 @@ def local_table(ct, h_left, h_right):
     hv = _build_h(ct, h_left, h_right, components, label, image)
     image, hv = array("i", image), array("h", hv)  # "h" raises OverflowError
 
-    def sigma(p):
-        return _pair_keys(ct, h_right, h_left)[image[p]]
-
     left, right = _column_index(ct, h_left), _column_index(ct, h_right)
+    cols_right, cols_left = columns(ct, h_right), columns(ct, h_left)
+
+    def sigma(p):  # the image's code is l' * n_left + r' in the swapped product
+        l, r = divmod(image[p], len(left))
+        return cols_right[l], cols_left[r]
+
     return LocalEnergyTable(
         ct, h_left, h_right, len(left), len(right), left, right, image, hv,
         _PairView(ct, h_left, h_right, sigma), _PairView(ct, h_left, h_right, hv.__getitem__),
@@ -340,19 +344,14 @@ def commutor(ct, left, right):
 
     An independent construction of the R-matrix; the two must agree pointwise.
     """
-    s_left = lusztig_involution(TensorElement(ct, (left,))).factors[0]
-    s_right = lusztig_involution(TensorElement(ct, (right,))).factors[0]
-    swapped = TensorElement(ct, (s_right, s_left))
-    return lusztig_involution(swapped).factors
+    swapped = (column_involution(ct, right), column_involution(ct, left))
+    return lusztig_involution(TensorElement(ct, swapped)).factors
 
 
 def tau(elem):
     """Reverse the factors and apply the Lusztig involution to each."""
     ct = elem.cartan
-    out = []
-    for c in reversed(elem.factors):
-        out.append(lusztig_involution(TensorElement(ct, (c,))).factors[0])
-    return TensorElement(ct, tuple(out))
+    return TensorElement(ct, tuple(column_involution(ct, c) for c in reversed(elem.factors)))
 
 
 def _left_chain(ct, factors, q0, terms=None):

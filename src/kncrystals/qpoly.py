@@ -15,14 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import add
 
-from .charge import (
-    _arm_table,
-    _circ_factor,
-    _halve,
-    _key_columns,
-    _require_sorted,
-    charge,
-)
+from .charge import _arm_table, _circ_step, _halve, _require_sorted, charge
 from .core import (
     VERTEX_BUDGET,
     TensorElement,
@@ -179,8 +172,11 @@ class _PrefixScan:
         for col, content in self.pools[p]:
             step = memo.get((prev, col))
             if step is None:
-                step = memo[(prev, col)] = _circ_factor(
-                    prev, _key_columns(ct, col), p * halves, self.arm
+                produced, cells = _circ_step(ct, prev, col)
+                arm, base = self.arm, p * halves
+                step = memo[(prev, col)] = (
+                    produced[-1],
+                    sum(arm[base + half][row] for half, row in cells),
                 )
             factors[p] = col
             d = dl + _left_chain(ct, factors, p) if energy else None
@@ -199,9 +195,10 @@ def _prefix_scan(ct, heights, _energy=True):
     that adds one factor at a time, so the work on a prefix is shared by
     every vertex below it.  A node carries the last key column produced by
     the circular reordering, the descent arm sum, D^L and the weight of the
-    prefix.  Adding factor p runs the circular step on its key columns
-    (memoized per factor on the previous keys and the column) and adds the
-    one D^L chain that starts at p.  Charge and D^L stay the independent
+    prefix.  Adding factor p runs charge's circular step on its column
+    (memoized per factor on the previous key column and the column, as the
+    next key column and the arm sum of the descents) and adds the one D^L
+    chain that starts at p.  Charge and D^L stay the independent
     routes of ``charge`` and ``energy_DL``.
 
     Returns an iterator of ``(factors, charge, D^L, weight)`` in product
@@ -221,22 +218,17 @@ def macdonald_p_q0(ct, mu, budget=None):
 
 
 def highest_weight_elements(ct, heights, budget=None):
+    """The classically highest elements of the product, lazily, budget-checked now."""
     _check_rank_work(ct, heights, budget)
-    for b in iter_tensor_elements(ct, heights):
-        if is_classical_highest(b):
-            yield b
+    return filter(is_classical_highest, iter_tensor_elements(ct, heights))
 
 
 def _graded_highest(ct, heights, lam, statistic):
     """The highest elements of weight ``lam``, graded by ``statistic``."""
-    _check_rank_work(ct, heights)  # before the n-entry target is built
+    highest = highest_weight_elements(ct, heights)  # before the n-entry target
     target = tuple(lam) + (0,) * (ct.n - len(lam))
     return QPolynomial.from_dict(
-        Counter(
-            statistic(b)
-            for b in highest_weight_elements(ct, heights)
-            if weight(b) == target
-        )
+        Counter(statistic(b) for b in highest if weight(b) == target)
     )
 
 

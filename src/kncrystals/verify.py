@@ -15,6 +15,7 @@ from .core import (
     CartanType,
     TensorElement,
     _check_rank_work,
+    column_involution,
     e,
     eps,
     f,
@@ -84,9 +85,9 @@ def _suite_rmatrix(ct, heights):
             image = TensorElement(ct, (l2, r2))
             yield commutor(ct, l, r) == (l2, r2)
             # H(b2 (x) b1) = H(S(b1) (x) S(b2))
-            sl = lusztig_involution(TensorElement(ct, (l,))).factors[0]
-            sr = lusztig_involution(TensorElement(ct, (r,))).factors[0]
-            yield local_energy(ct, l, r) == local_energy(ct, sr, sl)
+            yield local_energy(ct, l, r) == local_energy(
+                ct, column_involution(ct, r), column_involution(ct, l)
+            )
             for i in ct.index_set:
                 # sigma commutes with f_i, and H is constant along classical f_i
                 fp = f(pair, i)

@@ -34,7 +34,13 @@ from kncrystals import (
     validate_column,
     weight,
 )
-from kncrystals.core import _signature, _split_sets, check_budget, iter_tensor_elements
+from kncrystals.core import (
+    _signature,
+    _split_sets,
+    check_budget,
+    column_involution,
+    iter_tensor_elements,
+)
 from kncrystals.errors import (
     AdmissibilityViolation,
     NotIncreasing,
@@ -306,6 +312,19 @@ def test_involution_single_box_type_a():
     assert lusztig_involution(element(A2, [(1,)])).factors == ((3,),)
     assert lusztig_involution(element(A2, [(2,)])).factors == ((2,),)
     assert lusztig_involution(element(A2, [(3,)])).factors == ((1,),)
+
+
+def test_column_involution_is_the_walk_on_every_column():
+    checked = 0
+    for ct in [CartanType("A", n) for n in range(2, 8)] + [
+        CartanType("C", n) for n in range(2, 7)
+    ]:
+        for k in range(1, ct.max_height + 1):
+            for col in columns(ct, k):
+                walked = lusztig_involution(TensorElement(ct, (col,))).factors[0]
+                assert column_involution(ct, col) == walked, (ct, col)
+                checked += 1
+    assert checked == 2584
 
 
 def test_involution_highest_to_lowest():

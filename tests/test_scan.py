@@ -2,6 +2,7 @@
 oracle."""
 
 from array import array
+from importlib import import_module
 
 import pytest
 from util import theorem_shapes
@@ -20,6 +21,9 @@ from kncrystals import (
 )
 from kncrystals.errors import OddArmSum, ShapeTooLarge
 from kncrystals.qpoly import _prefix_scan, highest_weight_elements
+
+# the package exports the function ``charge``, which shadows the module
+charge_module = import_module("kncrystals.charge")
 
 C2 = CartanType("C", 2)
 C3 = CartanType("C", 3)
@@ -57,7 +61,8 @@ def test_theorem_scan_still_compares_both_routes():
 
 
 def test_scan_descent_inside_a_split_pair_raises(monkeypatch):
-    monkeypatch.setattr(qpoly_module, "_key_columns", lambda ct, col: ((2,), (1,)))
+    # the scan runs charge's circular step, which reads charge's key columns
+    monkeypatch.setattr(charge_module, "_key_columns", lambda ct, col: ((2,), (1,)))
     with pytest.raises(OddArmSum, match="split pair"):
         list(_prefix_scan(C2, (1,)))
 
@@ -72,6 +77,12 @@ def test_budget_is_checked_before_any_scan_work(monkeypatch):
         macdonald_p_q0(C3, (2, 1), budget=10)
     with pytest.raises(ShapeTooLarge):
         list(highest_weight_elements(C3, (2, 1), budget=10))
+
+
+def test_highest_weight_elements_checks_the_budget_when_called():
+    # not at the first next(): the check is not deferred to iteration
+    with pytest.raises(ShapeTooLarge):
+        highest_weight_elements(C3, (2, 1), budget=10)
 
 
 def test_macdonald_runs_no_energy_chain(monkeypatch):

@@ -1,5 +1,7 @@
 """The verification suites: check counts, failing second routes, input guards."""
 
+from importlib import import_module
+
 import pytest
 
 import kncrystals.kyoto as kyoto_module
@@ -17,6 +19,8 @@ from kncrystals import (
 )
 from kncrystals.cli import main
 from kncrystals.errors import CrystalError, NotFundamental
+
+energy_module = import_module("kncrystals.energy")
 
 A3 = CartanType("A", 3)
 C2 = CartanType("C", 2)
@@ -59,6 +63,14 @@ def test_a_disagreeing_second_route_fails_the_suite(monkeypatch, suite, attr, br
     assert report.suites[suite]["passed"] is False
     assert report.suites[suite]["checks"] == PINNED_CHECKS[C2][suite]
     assert not report.passed
+
+
+def test_an_identity_column_involution_fails_the_rmatrix_suite(monkeypatch):
+    # the closed form serves the commutor's inner S and the H symmetry check
+    for module in (energy_module, verify_module):
+        monkeypatch.setattr(module, "column_involution", lambda ct, col: col)
+    report = run_verify(C3, (2, 2), suites=("rmatrix",))
+    assert report.suites["rmatrix"] == {"passed": False, "checks": 1187}
 
 
 def test_a_ground_state_test_missing_one_state_fails_the_kyoto_suite(monkeypatch):
