@@ -20,7 +20,6 @@ from .core import (
     e,
     element,
     eps,
-    eps_weight,
     f,
     is_classical_highest,
     iter_tensor_elements,

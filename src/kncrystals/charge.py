@@ -270,34 +270,25 @@ def _selection_charge(word, paired):
     a wrap while seeking a primed label violates the structural guarantee
     and raises, and a wrap while seeking the unprimed label j+1 contributes
     k - j, where k is the number of pairs selected in the round.
+
+    Each label keeps the increasing positions of its unselected occurrences.
+    A pick is the last of them left of the previous pick, found by one
+    bisection; index -1 there is the wrap to the rightmost occurrence.  A
+    round starts at position ``len(word)``, so its first pick never wraps.
     """
-    word = list(word)
-    alive = [True] * len(word)
-    remaining = len(word)
+    slots = {}
+    for p, label in enumerate(word):
+        slots.setdefault(label, []).append(p)
     total = 0
-    while remaining:
-        pos = None
+    while slots.get(1):
+        pos = len(word)
         wraps = []
         target = 1
-        while True:
-            found = None
-            if pos is not None:
-                for p in range(pos - 1, -1, -1):
-                    if alive[p] and word[p] == target:
-                        found = p
-                        break
-            if found is None:
-                for p in range(len(word) - 1, -1, -1):
-                    if alive[p] and word[p] == target:
-                        found = p
-                        break
-                if found is not None and pos is not None:
-                    wraps.append(target)
-            if found is None:
-                break
-            alive[found] = False
-            remaining -= 1
-            pos = found
+        while occ := slots.get(target):
+            i = bisect_left(occ, pos) - 1
+            if i < 0:
+                wraps.append(target)
+            pos = occ.pop(i)
             target += 1
         top = target - 1
         if not paired:

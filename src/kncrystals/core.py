@@ -108,12 +108,6 @@ class CartanType:
         """The Lusztig dual index: n - i in type A, i in type C."""
         return self.n - i if self.family == "A" else i
 
-    def level_constant(self, r):
-        """The constant c_r; with single columns the level bound is always 1."""
-        if self.family == "A":
-            return 1
-        return 1 if r == self.n else 2
-
     def fundamental(self, h):
         """Lambda_h as a coefficient tuple over the affine index set."""
         w = [0] * len(self.index_set)
@@ -413,10 +407,6 @@ def eps(elem, i):
 
 def phi(elem, i):
     return _element_signature(elem, i)[1]
-
-
-def eps_weight(elem):
-    return tuple(eps(elem, i) for i in elem.cartan.index_set)
 
 
 def _act(elem, i, idx, column_op):

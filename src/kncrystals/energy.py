@@ -18,11 +18,9 @@ flat tuples by code: eps, phi, and the codes of the f and e targets, -1
 where the operator is undefined.  A :class:`LocalEnergyTable` keeps flat
 arrays by pair code; the energy transports code the columns they meet and
 carry the moving factor as its code, so no pair of columns is built.  Its
-``sigma`` and ``h`` are read-only mappings over the arrays, iterated in
-pair-code order from one cached tuple of pair keys per (type, left height,
-right height), built only when a view is iterated, not when sigma is read:
-a sigma read decodes the image code into its two columns, and H shares the
-keys of sigma.
+``sigma`` and ``h`` are read-only mappings over the arrays.  Each pass over
+a view iterates the product of the two column tuples, in pair-code order,
+and keeps nothing; a sigma read decodes the image code into its two columns.
 
 Both tables are memoized per (cartan type, left height, right height) and are
 immutable once built, so concurrent readers are safe; rebuilding a table is
@@ -90,24 +88,18 @@ def _column_index(ct, h):
     return {c: k for k, c in enumerate(columns(ct, h))}
 
 
-@lru_cache(maxsize=None)
-def _pair_keys(ct, h_left, h_right):
-    """Every pair of columns, indexed by its code ``l * |B_right| + r``."""
-    return tuple(product(columns(ct, h_left), columns(ct, h_right)))
-
-
 class _PairView(Mapping):
     """Read-only (left, right) -> ``value(pair code)``, iterated in code order."""
 
     def __init__(self, ct, h_left, h_right, value):
-        self._shape, self._value = (ct, h_left, h_right), value
+        self._cols, self._value = (columns(ct, h_left), columns(ct, h_right)), value
         self._left, self._right = _column_index(ct, h_left), _column_index(ct, h_right)
 
     def __len__(self):
         return len(self._left) * len(self._right)
 
     def __iter__(self):
-        return iter(_pair_keys(*self._shape))
+        return product(*self._cols)
 
     def __getitem__(self, pair):
         try:
@@ -122,10 +114,7 @@ class _PairView(Mapping):
 class LocalEnergyTable:
     """Memoized sigma and H for one ordered pair of column crystals."""
 
-    cartan: object
-    h_left: int
-    h_right: int
-    n_left: int  # columns of height h_left
+    n_left: int  # columns of the left height
     n_right: int
     left_index: dict  # column -> code, shared by every table of height h_left
     right_index: dict
@@ -170,7 +159,8 @@ def _build_sigma(ct, h_left, h_right):
         swapped_candidates.setdefault(wt, []).append(x * n_left)
 
     def key(p):  # the pair of columns with code p, for an error message
-        return _pair_keys(ct, h_left, h_right)[p]
+        l, r = divmod(p, n_right)
+        return columns(ct, h_left)[l], columns(ct, h_right)[r]
 
     image = [-1] * (n_left * n_right)
     label = [-1] * len(image)
@@ -242,7 +232,8 @@ def _build_h(ct, h_left, h_right, components, label, image):
     eps0_r, phi0_r, f0_r, e0_r = _column_codes(ct, h_right, 0)
 
     def key(p):  # the pair of columns with code p, for an error message
-        return _pair_keys(ct, h_left, h_right)[p]
+        l, r = divmod(p, n_right)
+        return columns(ct, h_left)[l], columns(ct, h_right)[r]
 
     def e0_delta(p):
         """(code of e_0 p, change of H along that edge), or (-1, 0)."""
@@ -322,7 +313,7 @@ def local_table(ct, h_left, h_right):
         return cols_right[l], cols_left[r]
 
     return LocalEnergyTable(
-        ct, h_left, h_right, len(left), len(right), left, right, image, hv,
+        len(left), len(right), left, right, image, hv,
         _PairView(ct, h_left, h_right, sigma), _PairView(ct, h_left, h_right, hv.__getitem__),
     )
 

@@ -25,6 +25,7 @@ from functools import lru_cache
 
 from .core import (
     TensorElement,
+    _check_rank_work,
     column_eps_weight,
     column_phi_weight,
     columns,
@@ -44,6 +45,8 @@ class GroundState:
 
 @lru_cache(maxsize=None)
 def _columns_by_eps(ct, height):
+    # every column gets an (n + 1)-entry weight, so columns x n is budgeted
+    _check_rank_work(ct, (height,))
     table = {}
     for col in columns(ct, height):
         table.setdefault(column_eps_weight(ct, col), []).append(col)

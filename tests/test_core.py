@@ -25,7 +25,6 @@ from kncrystals import (
     e,
     element,
     eps,
-    eps_weight,
     f,
     lusztig_involution,
     phi,
@@ -290,7 +289,7 @@ def test_weights():
 
 def test_eps_weight_examples():
     el = element(C3, [(1, 2, 3)])
-    assert eps_weight(el) == (1, 0, 0, 0)
+    assert [eps(el, i) for i in C3.index_set] == [1, 0, 0, 0]
     assert phi(element(CartanType("A", 2), [(1,), (1,)]), 1) == 2
     gen = element(C3, [(1, 2)])
     assert [phi(gen, i) for i in C3.index_set] == [0, 0, 1, 0]
@@ -378,11 +377,6 @@ def test_factor_indexing_from_right():
     b = element(C3, [(1, 2, 3), (1, 2), (1,)])
     assert b.factor_from_right(1) == (1,)
     assert b.factor_from_right(3) == (1, 2, 3)
-
-
-def test_level_constants():
-    assert [A2.level_constant(r) for r in A2.classical_indices] == [1, 1]
-    assert [C3.level_constant(r) for r in C3.classical_indices] == [2, 2, 1]
 
 
 _HASH_PROBE = """

@@ -294,6 +294,8 @@ def test_cli_macdonald_refuses_a_huge_first_part_at_once(mu):
         ["macdonald", "-t", "A", "-n", "4000", "--mu", "1"],
         # a local energy table: pairs x n
         ["energy", "A400; 1 | 2"],
+        # an eps weight for every column of a height: columns x n
+        ["ground-states", "-t", "A", "-n", "3000000", "--heights", "1"],
     ],
 )
 def test_cli_refuses_over_budget_work_at_once(argv):

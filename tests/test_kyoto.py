@@ -1,6 +1,7 @@
 import pytest
 from util import theorem_shapes
 
+import kncrystals.core as core_module
 from kncrystals import (
     CartanType,
     ShapeState,
@@ -172,3 +173,11 @@ def test_ground_states_of_many_factors():
     with pytest.raises(ShapeTooLarge):
         # 1,024 states
         ground_states(CartanType("C", 2), (1,) * 20, budget=100)
+
+
+def test_ground_states_hold_columns_times_rank_to_the_budget(monkeypatch):
+    # 150 columns pass the vertex check, but 150 x rank 150 of eps weights
+    # does not pass the rank check
+    monkeypatch.setattr(core_module, "VERTEX_BUDGET", 10_000)
+    with pytest.raises(ShapeTooLarge):
+        ground_states(CartanType("A", 150), (1,))

@@ -1,7 +1,8 @@
-"""The local energy tables: pinned contents, shared keys, and the checks of
-the coded builds."""
+"""The local energy tables: pinned contents, retained memory, and the checks
+of the coded builds."""
 
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from util import theorem_shapes
 import kncrystals
 from kncrystals import (
     CartanType,
+    columns,
     combinatorial_r,
     energy_DL,
     energy_DR,
@@ -30,9 +32,9 @@ energy_module = import_module("kncrystals.energy")
 C3 = CartanType("C", 3)
 
 # sha256 (first 16 hex digits) of repr([(k, table.sigma[k]) for k in keys])
-# and of the same list for table.h, where keys = _pair_keys(ct, hl, hr) is
-# pair-code order; taken from the tables of the visit-order builders that
-# the component walk replaced
+# and of the same list for table.h, where keys, the product of the two
+# column tuples, are in pair-code order; taken from the tables of the
+# visit-order builders that the component walk replaced
 PINNED = {
     # C4
     ("C", 4, 4, 4): ("9d94e0906d12e668", "cea8771754c07085"),
@@ -82,18 +84,11 @@ def test_tables_match_the_pinned_digests():
     for (family, n, hl, hr), (want_sigma, want_h) in PINNED.items():
         ct = CartanType(family, n)
         table = local_table(ct, hl, hr)
-        keys = energy_module._pair_keys(ct, hl, hr)
+        keys = tuple(itertools.product(columns(ct, hl), columns(ct, hr)))
         assert _digest((k, table.sigma[k]) for k in keys) == want_sigma, (family, n, hl, hr)
         assert _digest((k, table.h[k]) for k in keys) == want_h, (family, n, hl, hr)
         # the views iterate in pair-code order
         assert tuple(table.sigma) == tuple(table.h) == keys
-
-
-def test_tables_share_their_pair_keys():
-    for hl, hr in ((2, 1), (1, 2), (3, 3), (3, 1)):
-        table = local_table(C3, hl, hr)
-        sigma_keys = {id(k) for k in table.sigma}
-        assert {id(k) for k in table.h} == sigma_keys
 
 
 def _corrupt(monkeypatch, height, index, slot, change):
@@ -151,8 +146,8 @@ def test_uncorrupted_copies_build_the_same_tables(monkeypatch):
         table = local_table(C3, hl, hr)
         components, label, image = energy_module._build_sigma(C3, hl, hr)
         values = energy_module._build_h(C3, hl, hr, components, label, image)
-        keys = energy_module._pair_keys(C3, hl, hr)
-        swapped = energy_module._pair_keys(C3, hr, hl)
+        keys = tuple(itertools.product(columns(C3, hl), columns(C3, hr)))
+        swapped = tuple(itertools.product(columns(C3, hr), columns(C3, hl)))
         assert [(k, swapped[image[p]]) for p, k in enumerate(keys)] == list(table.sigma.items())
         assert [(k, values[p]) for p, k in enumerate(keys)] == list(table.h.items())
         # each component is labelled as its own, and together they cover the pairs
@@ -233,7 +228,6 @@ def _python(code):
 _TRANSPORT_BUILDS_NO_PAIR_KEYS = """
 import random
 from kncrystals import CartanType, TensorElement, columns, energy_DL, local_table
-from kncrystals.energy import _pair_keys
 ct, heights = CartanType("C", 4), (4, 3, 2, 1)
 for hl in heights:
     for hr in heights:
@@ -242,15 +236,13 @@ rng = random.Random(7)
 pools = [columns(ct, h) for h in heights]
 for _ in range(1000):
     energy_DL(TensorElement(ct, tuple(rng.choice(p) for p in pools)))
-print(_pair_keys.cache_info().currsize)
 table = local_table(ct, 4, 3)
 print(len(table.sigma) == len(table.h) == table.n_left * table.n_right)
-print(_pair_keys.cache_info().currsize)
 """
 
 
 def test_set_up_and_transport_build_no_pair_keys():
-    assert _python(_TRANSPORT_BUILDS_NO_PAIR_KEYS) == ["0", "True", "0"]
+    assert _python(_TRANSPORT_BUILDS_NO_PAIR_KEYS) == ["True"]
 
 
 _RETAINED_BY_ONE_TABLE = """
@@ -291,4 +283,26 @@ def test_a_sigma_read_builds_no_pair_keys():
     # 165 x 132 pair keys retained about 1.4 MB
     pair, retained = map(int, _python(_RETAINED_BY_ONE_SIGMA_READ))
     assert pair == 2
+    assert retained < 64 * 1024
+
+
+_RETAINED_BY_ITERATED_VIEWS = """
+import gc, tracemalloc
+from kncrystals import CartanType, local_table
+C5 = CartanType("C", 5)
+tables = [local_table(C5, hl, hr) for hl in (5, 4) for hr in (5, 4)]
+tracemalloc.start()
+items = 0
+for table in tables:
+    items += sum(1 for _ in table.sigma.items()) + sum(1 for _ in table.h.items())
+gc.collect()
+print(items, tracemalloc.get_traced_memory()[0])
+"""
+
+
+def test_iterated_views_retain_nothing():
+    # each pass iterates the product of the two column tuples; a cache of
+    # the pair keys of these four tables retained about 5.6 MB
+    items, retained = map(int, _python(_RETAINED_BY_ITERATED_VIEWS))
+    assert items == 2 * (165 + 132) ** 2
     assert retained < 64 * 1024
