@@ -290,6 +290,12 @@ def columns(ct, k):
     )
 
 
+@lru_cache(maxsize=None)
+def _column_index(ct, h):
+    """The code of every height-h column: its position in ``columns(ct, h)``."""
+    return {c: k for k, c in enumerate(columns(ct, h))}
+
+
 def column_content(ct, col):
     m = [0] * ct.n
     for x in col:

@@ -16,11 +16,10 @@ Both walks run over integer codes.  A column's code is its position in
 code ``l * |B_right| + r``.  Per (type, height, index) the column data are
 flat tuples by code: eps, phi, and the codes of the f and e targets, -1
 where the operator is undefined.  A :class:`LocalEnergyTable` keeps flat
-arrays by pair code; the energy transports code the columns they meet and
-carry the moving factor as its code, so no pair of columns is built.  Its
-``sigma`` and ``h`` are read-only mappings over the arrays.  Each pass over
-a view iterates the product of the two column tuples, in pair-code order,
-and keeps nothing; a sigma read decodes the image code into its two columns.
+arrays by pair code.  Its ``sigma`` and ``h`` are read-only mappings over
+the arrays.  Each pass over a view iterates the product of the two column
+tuples, in pair-code order, and keeps nothing; a sigma read decodes the
+image code into its two columns.
 
 Both tables are memoized per (cartan type, left height, right height) and are
 immutable once built, so concurrent readers are safe; rebuilding a table is
@@ -28,7 +27,10 @@ idempotent.
 
 Global energies follow the pair-transport sums; factor 1 is the rightmost
 tensor factor.  D := D^L, so the main identity reads D(b) = -charge(b) and
-all D values on a product of generators vanish.
+all D values on a product of generators vanish.  The transports read a
+per-shape plan of column indices and table arrays, one lookup per element
+and none per step; they carry the moving factor as its code, so no pair of
+columns is built.
 """
 
 from __future__ import annotations
@@ -38,12 +40,13 @@ from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 
 from .core import (
     DEMAZURE_LEVEL,
     TensorElement,
     _check_rank_work,
+    _column_index,
     column_content,
     column_e,
     column_eps_phi,
@@ -80,12 +83,6 @@ def _column_codes(ct, h, i):
         tuple(code(column_f(ct, i, c), -1) for c in cols),
         tuple(code(column_e(ct, i, c), -1) for c in cols),
     )
-
-
-@lru_cache(maxsize=None)
-def _column_index(ct, h):
-    """The code of every height-h column: its position in ``columns(ct, h)``."""
-    return {c: k for k, c in enumerate(columns(ct, h))}
 
 
 class _PairView(Mapping):
@@ -345,82 +342,91 @@ def tau(elem):
     return TensorElement(ct, tuple(column_involution(ct, c) for c in reversed(elem.factors)))
 
 
-def _left_chain(ct, factors, q0, terms=None):
-    """The summed local energies of the D^L chain that starts at factor ``q0``.
+@lru_cache(maxsize=None)
+def _transport_plan(ct, heights):
+    """The D^L and D^R chains of every factor of one shape: ``(left, right)``.
 
-    Factors are indexed left to right from 0.  Factor ``q0`` is transported
-    leftward by the R-matrix past ``factors[q0 - 1], ..., factors[1]``, and
-    the local energy of each pair it meets is added, nearest first, and
-    appended to ``terms`` when given.  The chain reads only
-    ``factors[: q0 + 1]``.  Each table codes the column it meets, and the
-    moving factor travels as its code (-1 before the first table).
+    A chain is ``(q0, index, steps)``: its start factor, the column index of
+    that factor's height, and its steps, nearest first, each
+    ``(index of the met factor's height, energies, image, n_right, n_left)``.
+    Every chain shares the one record of a height pair and direction, so a
+    plan holds references and no per-step tuple.  The tables come first,
+    from ``local_table``, which holds their rank work to the budget; a
+    single factor has no chain and builds nothing.
     """
-    q = q0
-    h_moving = len(factors[q])
-    moving = -1
+    records = {}  # both chains meet the pairs (heights[a], heights[b]), a < b
+    for pair in dict.fromkeys(combinations(heights, 2)):
+        t = local_table(ct, *pair)
+        rest = (t.energies, t.image, t.n_right, t.n_left)
+        records[pair] = ((t.left_index,) + rest, (t.right_index,) + rest)
+    left = tuple(
+        (q0, _column_index(ct, h), tuple(records[hl, h][0] for hl in heights[q0 - 1::-1]))
+        for q0, h in enumerate(heights[1:], 1)
+    )
+    right = tuple(
+        (q0, _column_index(ct, h), tuple(records[h, hr][1] for hr in heights[q0 + 1:]))
+        for q0, h in enumerate(heights[:-1])
+    )
+    return left, right
+
+
+def _left_chain(chains, factors, terms=None):
+    """The summed local energies of a run of D^L chains of a transport plan.
+
+    Factors are indexed left to right from 0.  The chain of factor ``q0``
+    transports it leftward by the R-matrix past ``factors[q0 - 1], ...,
+    factors[0]``; the local energy of each pair it meets is added, nearest
+    first, and appended to ``terms`` when given.  The chain reads only
+    ``factors[: q0 + 1]``, and the moving factor travels as its code.
+    """
     total = 0
-    while q:
-        q -= 1
-        left = factors[q]
-        table = local_table(ct, len(left), h_moving)
-        if moving < 0:
-            moving = table.right_index[factors[q0]]
-        p = table.left_index[left] * table.n_right + moving
-        h = table.energies[p]
-        total += h
-        if terms is not None:
-            terms.append(h)
-        if q:
-            moving = table.image[p] // table.n_left
+    for q, index, steps in chains:
+        moving = index[factors[q]]
+        for met, energies, image, n_right, n_left in steps:
+            q -= 1
+            p = met[factors[q]] * n_right + moving
+            h = energies[p]
+            total += h
+            if terms is not None:
+                terms.append(h)
+            if q:
+                moving = image[p] // n_left
     return total
 
 
 def energy_DL(elem):
     """Left energy: transport each factor leftward and sum local energies."""
-    ct, factors = elem.cartan, elem.factors
-    total = 0
-    for q0 in range(1, len(factors)):
-        total += _left_chain(ct, factors, q0)
-    return total
+    factors = elem.factors
+    return _left_chain(_transport_plan(elem.cartan, tuple(map(len, factors)))[0], factors)
 
 
-def _right_chain(ct, factors, q0, terms=None):
-    """The summed local energies of the D^R chain that starts at factor ``q0``.
+def _right_chain(chains, factors, terms=None):
+    """The summed local energies of a run of D^R chains of a transport plan.
 
-    The mirror of :func:`_left_chain`: factor ``q0`` is transported
-    rightward by the R-matrix past ``factors[q0 + 1], ..., factors[-2]``,
-    and the local energy of each pair it meets is added, nearest first, and
-    appended to ``terms`` when given.  The chain reads only
+    The mirror of :func:`_left_chain`: the chain of factor ``q0`` transports
+    it rightward past ``factors[q0 + 1], ..., factors[-1]``, and reads only
     ``factors[q0:]``.
     """
     last = len(factors) - 1
-    q = q0
-    h_moving = len(factors[q])
-    moving = -1
     total = 0
-    while q < last:
-        q += 1
-        right = factors[q]
-        table = local_table(ct, h_moving, len(right))
-        if moving < 0:
-            moving = table.left_index[factors[q0]]
-        p = moving * table.n_right + table.right_index[right]
-        h = table.energies[p]
-        total += h
-        if terms is not None:
-            terms.append(h)
-        if q < last:
-            moving = table.image[p] % table.n_left
+    for q, index, steps in chains:
+        moving = index[factors[q]]
+        for met, energies, image, n_right, n_left in steps:
+            q += 1
+            p = moving * n_right + met[factors[q]]
+            h = energies[p]
+            total += h
+            if terms is not None:
+                terms.append(h)
+            if q < last:
+                moving = image[p] % n_left
     return total
 
 
 def energy_DR(elem):
     """Right energy: transport each factor rightward and sum local energies."""
-    ct, factors = elem.cartan, elem.factors
-    total = 0
-    for q0 in range(len(factors) - 1):
-        total += _right_chain(ct, factors, q0)
-    return total
+    factors = elem.factors
+    return _right_chain(_transport_plan(elem.cartan, tuple(map(len, factors)))[1], factors)
 
 
 @dataclass(frozen=True)
@@ -439,26 +445,16 @@ class EnergyReport:
 
 
 def energy_report(elem):
-    ct = elem.cartan
-    n_fac = len(elem.factors)
-    left_terms = {}
-    for q0 in range(1, n_fac):
-        terms = []
-        _left_chain(ct, elem.factors, q0, terms)
-        for q, h in zip(range(q0, 0, -1), terms):
-            left_terms[(n_fac - q + 1, n_fac - q0)] = h
-    right_terms = {}
-    for q0 in range(n_fac - 1):
-        terms = []
-        _right_chain(ct, elem.factors, q0, terms)
-        for q, h in zip(range(q0 + 1, n_fac), terms):
-            right_terms[(n_fac - q0, n_fac - q)] = h
+    factors = elem.factors
+    n = len(factors)
+    left, right = _transport_plan(elem.cartan, elem.heights)
+    left_h, right_h = [], []
+    d_left, d_right = _left_chain(left, factors, left_h), _right_chain(right, factors, right_h)
+    # the terms come chain by chain, each nearest first
+    left_keys = ((n - q, n - q0) for q0 in range(1, n) for q in range(q0 - 1, -1, -1))
+    right_keys = ((n - q0, n - q) for q0 in range(n - 1) for q in range(q0 + 1, n))
     return EnergyReport(
-        elem,
-        sum(left_terms.values()),
-        sum(right_terms.values()),
-        left_terms,
-        right_terms,
+        elem, d_left, d_right, dict(zip(left_keys, left_h)), dict(zip(right_keys, right_h))
     )
 
 

@@ -45,11 +45,12 @@ class GroundState:
 
 @lru_cache(maxsize=None)
 def _columns_by_eps(ct, height):
-    # every column gets an (n + 1)-entry weight, so columns x n is budgeted
+    """eps weight -> the ``(column, phi weight)`` of every height-h column with it."""
+    # every column gets two (n + 1)-entry weights, so columns x n is budgeted
     _check_rank_work(ct, (height,))
     table = {}
     for col in columns(ct, height):
-        table.setdefault(column_eps_weight(ct, col), []).append(col)
+        table.setdefault(column_eps_weight(ct, col), []).append((col, column_phi_weight(ct, col)))
     return table
 
 
@@ -71,13 +72,13 @@ def ground_states(ct, heights, budget=100_000):
     out = []
     # chains b_1, b_2, ... on a stack, so no recursion limit bounds the depth;
     # a chain is a (b_k, chain of b_1 .. b_{k-1}) cell, so chains share their
-    # prefixes and each step costs the same at any depth
+    # prefixes and each step costs the same at any depth and any rank
     stack = [(0, None, ct.fundamental(0))]
     while stack:
         k, chain, want = stack.pop()
         if k < len(heights):
-            for col in by_eps[k].get(want, ()):
-                stack.append((k + 1, (col, chain), column_phi_weight(ct, col)))
+            for col, phi_weight in by_eps[k].get(want, ()):
+                stack.append((k + 1, (col, chain), phi_weight))
             continue
         h = _fundamental_index(ct, want)
         if h is None:

@@ -27,7 +27,7 @@ from .core import (
     iter_tensor_elements,
     weight,
 )
-from .energy import _left_chain, combinatorial_r, energy_DL
+from .energy import _left_chain, _transport_plan, combinatorial_r, energy_DL
 from .errors import EnergyInconsistent, ShapeTooLarge, WeightMismatch
 
 
@@ -160,14 +160,15 @@ class _PrefixScan:
         ]
         self.halves = 2 if ct.family == "C" else 1
         self.arm = _arm_table(heights, self.halves)
-        self.energy = energy
+        # the D^L chains, fetched once; node p runs the one that starts at p
+        self.chains = _transport_plan(ct, heights)[0] if energy else None
         self.memos = [{} for _ in heights]
         self.factors = [None] * len(heights)
         self.last = len(heights) - 1
 
     def walk(self, p, prev, arms, dl, wt):
         """The vertices below the node that holds factors 0 to p - 1."""
-        ct, factors, halves, energy = self.ct, self.factors, self.halves, self.energy
+        ct, factors, halves, chains = self.ct, self.factors, self.halves, self.chains
         memo = self.memos[p]
         for col, content in self.pools[p]:
             step = memo.get((prev, col))
@@ -179,7 +180,7 @@ class _PrefixScan:
                     sum(arm[base + half][row] for half, row in cells),
                 )
             factors[p] = col
-            d = dl + _left_chain(ct, factors, p) if energy else None
+            d = dl + _left_chain(chains[p - 1:p], factors) if chains is not None else None
             w = tuple(map(add, wt, content))
             a = arms + step[1]
             if p < self.last:
@@ -198,8 +199,9 @@ def _prefix_scan(ct, heights, _energy=True):
     prefix.  Adding factor p runs charge's circular step on its column
     (memoized per factor on the previous key column and the column, as the
     next key column and the arm sum of the descents) and adds the one D^L
-    chain that starts at p.  Charge and D^L stay the independent
-    routes of ``charge`` and ``energy_DL``.
+    chain that starts at p, read from the shape's transport plan, which the
+    scan fetches once.  Charge and D^L stay the independent routes of
+    ``charge`` and ``energy_DL``.
 
     Returns an iterator of ``(factors, charge, D^L, weight)`` in product
     order; with ``_energy`` false no D^L chain runs and D^L reads None.

@@ -355,13 +355,21 @@ def test_cli_enumerate_limit(capsys):
 
 
 _RANK_PROBE = """
-from kncrystals import (CartanType, charge, columns, energy_DL, ground_states,
-                        local_table, parse_filling)
+from kncrystals import (CartanType, charge, columns, energy_DL, energy_DR, energy_report,
+                        ground_states, local_table, parse_filling)
+from kncrystals.core import _column_index
 from kncrystals.errors import ShapeTooLarge
 big = 10**12
 for text in ("A%d; 2,3 | 1" % big, "C%d; 2,3,-3 | 1,-2" % big, "C%d; 1" % big):
     b = parse_filling(text)
-    print(charge(b), energy_DL(b) if len(b.factors) == 1 else "-")
+    if len(b.factors) == 1:
+        r = energy_report(b)
+        print(charge(b), energy_DL(b), energy_DR(b), r.d_left, r.d_right,
+              len(r.left_terms) + len(r.right_terms))
+    else:
+        print(charge(b), "-")
+# no energy above built a table or a column index
+print(local_table.cache_info().currsize, _column_index.cache_info().currsize)
 for ct in (CartanType("A", big), CartanType("C", big)):
     for build in (lambda: columns(ct, 1), lambda: local_table(ct, 2, 1),
                   lambda: ground_states(ct, (1,))):
@@ -379,8 +387,11 @@ def test_work_before_the_budget_check_does_not_grow_with_the_rank():
         parse_filling(text)
         for text in ("A4; 2,3 | 1", "C3; 2,3,-3 | 1,-2", "C3; 1")
     ]
-    want = [f"{kncrystals.charge(b)} {'-' if len(b.factors) > 1 else 0}" for b in small]
-    assert done.stdout.splitlines() == want + ["ShapeTooLarge"] * 6
+    want = [
+        f"{kncrystals.charge(b)} " + ("0 0 0 0 0" if len(b.factors) == 1 else "-")
+        for b in small
+    ]
+    assert done.stdout.splitlines() == want + ["0 0"] + ["ShapeTooLarge"] * 6
 
 
 _CLI_BATCH = """

@@ -181,3 +181,19 @@ def test_ground_states_hold_columns_times_rank_to_the_budget(monkeypatch):
     monkeypatch.setattr(core_module, "VERTEX_BUDGET", 10_000)
     with pytest.raises(ShapeTooLarge):
         ground_states(CartanType("A", 150), (1,))
+
+
+def test_a_chain_step_does_no_work_that_grows_with_the_rank():
+    # each column's phi weight is read from the column table, so after a
+    # warm-up no factor reads a single column's eps or phi again
+    ct = CartanType("A", 50)
+    ground_states(ct, (1,))
+
+    def calls(k):
+        before = core_module.column_eps_phi.cache_info()
+        (state,) = ground_states(ct, (1,) * k)
+        after = core_module.column_eps_phi.cache_info()
+        assert len(state.element.factors) == k
+        return after.hits + after.misses - before.hits - before.misses
+
+    assert calls(10) == calls(400)

@@ -92,5 +92,6 @@ def test_macdonald_runs_no_energy_chain(monkeypatch):
         raise AssertionError("a D^L chain ran")
 
     monkeypatch.setattr(qpoly_module, "_left_chain", fail)
+    monkeypatch.setattr(qpoly_module, "_transport_plan", fail)
     assert macdonald_p_q0(C3, (2, 1)) == want
     assert {d for _, _, d, _ in _prefix_scan(C3, (2, 1), _energy=False)} == {None}

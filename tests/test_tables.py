@@ -15,6 +15,7 @@ from util import theorem_shapes
 import kncrystals
 from kncrystals import (
     CartanType,
+    TensorElement,
     columns,
     combinatorial_r,
     energy_DL,
@@ -24,6 +25,7 @@ from kncrystals import (
     local_energy,
     local_table,
     shape_heights,
+    tau,
 )
 from kncrystals.errors import EnergyInconsistent, NoMatchingComponent
 
@@ -177,14 +179,30 @@ def _reference_terms(b):
 
 
 def test_coded_transport_matches_the_pair_maps():
+    # tau reverses the factors and a rotation moves the tallest one to the
+    # end, so the plans of unsorted shapes are checked as well
     for ct, mu in theorem_shapes():
         for b in iter_tensor_elements(ct, shape_heights(ct, mu)):
-            left, right = _reference_terms(b)
-            report = energy_report(b)
-            assert report.left_terms == left, b
-            assert report.right_terms == right, b
-            assert energy_DL(b) == report.d_left == sum(left.values()), b
-            assert energy_DR(b) == report.d_right == sum(right.values()), b
+            rotated = TensorElement(ct, b.factors[1:] + b.factors[:1])
+            for elem in (b, tau(b), rotated):
+                left, right = _reference_terms(elem)
+                report = energy_report(elem)
+                assert report.left_terms == left, elem
+                assert report.right_terms == right, elem
+                assert energy_DL(elem) == report.d_left == sum(left.values()), elem
+                assert energy_DR(elem) == report.d_right == sum(right.values()), elem
+
+
+def test_transport_reads_no_table_after_the_plan(monkeypatch):
+    heights = (2, 1, 3, 1)  # unsorted, with a repeated height
+    b = TensorElement(C3, tuple(columns(C3, h)[3 * h] for h in heights))
+    want = energy_DL(b), energy_DR(b), energy_report(b)
+
+    def fail(*args):
+        raise AssertionError("local_table called from a transport")
+
+    monkeypatch.setattr(energy_module, "local_table", fail)
+    assert (energy_DL(b), energy_DR(b), energy_report(b)) == want
 
 
 @pytest.mark.parametrize(
@@ -306,3 +324,24 @@ def test_iterated_views_retain_nothing():
     items, retained = map(int, _python(_RETAINED_BY_ITERATED_VIEWS))
     assert items == 2 * (165 + 132) ** 2
     assert retained < 64 * 1024
+
+
+_RETAINED_BY_A_LONG_PLAN = """
+import gc, random, tracemalloc
+from kncrystals import CartanType, TensorElement, charge, columns, energy_DL, energy_DR
+A3 = CartanType("A", 3)
+rng = random.Random(3)
+b = TensorElement(A3, tuple(rng.choice(columns(A3, 1)) for _ in range(300)))
+tracemalloc.start()
+d_left, d_right = energy_DL(b), energy_DR(b)
+gc.collect()
+print(d_left + charge(b), d_right, tracemalloc.get_traced_memory()[0])
+"""
+
+
+def test_a_long_plan_retains_references_only():
+    # 2 x 300 x 299 / 2 step references, about 0.7 MB; a plan of per-step
+    # tuples retained 8.0 MB
+    theorem, d_right, retained = map(int, _python(_RETAINED_BY_A_LONG_PLAN))
+    assert theorem == 0 and d_right <= 0
+    assert retained < 1024 * 1024
