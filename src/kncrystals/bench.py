@@ -9,7 +9,7 @@ import time
 from dataclasses import asdict, dataclass
 
 from .charge import charge
-from .core import TensorElement, columns
+from .core import TensorElement, _require_factors, columns
 from .energy import energy_DL, local_table
 
 
@@ -52,6 +52,7 @@ def run_bench(ct, heights, trials=10_000, seed=0, repeats=3):
     if trials < 1 or repeats < 1:
         raise ValueError(f"trials ({trials}) and repeats ({repeats}) must be >= 1")
     heights = tuple(heights)
+    _require_factors(heights)
     rng = random.Random(seed)
     pools = [columns(ct, h) for h in heights]
     sample = [

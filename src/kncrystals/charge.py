@@ -84,15 +84,6 @@ class ChargeWord:
     def cw2(self):
         return tuple(label for _, label in self.biletters)
 
-    def cw2_names(self):
-        return tuple(self.label_name(j) for j in self.cw2)
-
-    def label_name(self, j):
-        if not self.doubled:
-            return str(j)
-        q, r = divmod(j + 1, 2)
-        return f"{q}'" if r == 1 else str(q)
-
 
 def split_factors(elem):
     """The doubled column sequence of a type C element, left to right."""

@@ -27,7 +27,10 @@ from .verify import SUITE_NAMES, run_verify
 
 
 def _parse_ints(text):
-    return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
+    tokens = text.split(",")
+    if any(not tok.strip() for tok in tokens):
+        raise ValueError(f"empty entry in the list {text!r}")
+    return tuple(map(int, tokens))
 
 
 def _cartan(args):
@@ -35,18 +38,11 @@ def _cartan(args):
 
 
 def _heights(args, ct):
-    if getattr(args, "heights", None):
+    # argparse requires exactly one of the two; an empty one is refused here
+    if args.heights is not None:
         return _parse_ints(args.heights)
-    if getattr(args, "mu", None):
-        # refused before mu' is built when the shape is over the vertex budget
-        return _budgeted_heights(ct, _parse_ints(args.mu), getattr(args, "budget", None))
-    raise SystemExit2("one of --mu or --heights is required")
-
-
-class SystemExit2(SystemExit):
-    def __init__(self, message):
-        print(f"error: {message}", file=sys.stderr)
-        super().__init__(2)
+    # refused before mu' is built when the shape is over the vertex budget
+    return _budgeted_heights(ct, _parse_ints(args.mu), getattr(args, "budget", None))
 
 
 def _add_shape_options(sub, mu_required=False):
@@ -87,7 +83,7 @@ def cmd_enumerate(args):
 def cmd_ground_states(args):
     ct = _cartan(args)
     # no vertex budget here: ground_states bounds the states it finds
-    if args.heights:
+    if args.heights is not None:
         heights = _parse_ints(args.heights)
     else:
         heights = shape_heights(ct, _parse_ints(args.mu))
@@ -226,7 +222,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CrystalError, ValueError) as ex:
+    except (CrystalError, OSError, ValueError) as ex:
         print(f"error: {type(ex).__name__}: {ex}", file=sys.stderr)
         return 2
 

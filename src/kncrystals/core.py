@@ -532,8 +532,14 @@ def _column_count(ct, k, cap):
     return c - c * k * (k - 1) // ((m - k + 2) * (m - k + 1))
 
 
+def _require_factors(heights):
+    if not heights:
+        raise ValueError("a shape needs at least one factor")
+
+
 def _capped_size(ct, heights, cap):
     """The vertex count, or a number above ``cap`` as soon as the count passes it."""
+    _require_factors(heights)
     for k in heights:
         if not 1 <= k <= ct.max_height:
             raise ValueError(f"no columns of height {k} in {ct}")

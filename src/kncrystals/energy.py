@@ -15,11 +15,11 @@ Both walks run over integer codes.  A column's code is its position in
 ``columns(ct, h)``, so the generator is 0, and a pair of columns has the
 code ``l * |B_right| + r``.  Per (type, height, index) the column data are
 flat tuples by code: eps, phi, and the codes of the f and e targets, -1
-where the operator is undefined.  A :class:`LocalEnergyTable` keeps flat
-arrays by pair code.  Its ``sigma`` and ``h`` are read-only mappings over
-the arrays.  Each pass over a view iterates the product of the two column
-tuples, in pair-code order, and keeps nothing; a sigma read decodes the
-image code into its two columns.
+where the operator is undefined.  A :class:`LocalEnergyTable` keeps two
+flat arrays by pair code, sigma's image code and H, and its ``sigma`` and
+``h`` are read-only mappings over them.  Each pass over a view iterates the
+product of the two column tuples, in pair-code order, and keeps nothing; a
+sigma read decodes the image code into its two columns.
 
 Both tables are memoized per (cartan type, left height, right height) and are
 immutable once built, so concurrent readers are safe; rebuilding a table is
@@ -27,9 +27,11 @@ idempotent.
 
 Global energies follow the pair-transport sums; factor 1 is the rightmost
 tensor factor.  D := D^L, so the main identity reads D(b) = -charge(b) and
-all D values on a product of generators vanish.  The transports read a
-per-shape plan of column indices and table arrays, one lookup per element
-and none per step; they carry the moving factor as its code, so no pair of
+all D values on a product of generators vanish.  One loop sums both: it
+reads a per-shape plan of column indices and table arrays, one lookup per
+element and none per step, where a D^L and a D^R step differ only in the
+strides that order the pair code and in which half of sigma's image the
+moving factor keeps.  The moving factor travels as its code, so no pair of
 columns is built.
 """
 
@@ -111,10 +113,6 @@ class _PairView(Mapping):
 class LocalEnergyTable:
     """Memoized sigma and H for one ordered pair of column crystals."""
 
-    n_left: int  # columns of the left height
-    n_right: int
-    left_index: dict  # column -> code, shared by every table of height h_left
-    right_index: dict
     image: array  # by pair code l * n_right + r: sigma's image l' * n_left + r'
     energies: array  # by pair code: H
     sigma: Mapping  # (left, right) -> (left', right') in the swapped product
@@ -302,15 +300,14 @@ def local_table(ct, h_left, h_right):
     hv = _build_h(ct, h_left, h_right, components, label, image)
     image, hv = array("i", image), array("h", hv)  # "h" raises OverflowError
 
-    left, right = _column_index(ct, h_left), _column_index(ct, h_right)
     cols_right, cols_left = columns(ct, h_right), columns(ct, h_left)
 
     def sigma(p):  # the image's code is l' * n_left + r' in the swapped product
-        l, r = divmod(image[p], len(left))
+        l, r = divmod(image[p], len(cols_left))
         return cols_right[l], cols_left[r]
 
     return LocalEnergyTable(
-        len(left), len(right), left, right, image, hv,
+        image, hv,
         _PairView(ct, h_left, h_right, sigma), _PairView(ct, h_left, h_right, hv.__getitem__),
     )
 
@@ -346,87 +343,73 @@ def tau(elem):
 def _transport_plan(ct, heights):
     """The D^L and D^R chains of every factor of one shape: ``(left, right)``.
 
-    A chain is ``(q0, index, steps)``: its start factor, the column index of
-    that factor's height, and its steps, nearest first, each
-    ``(index of the met factor's height, energies, image, n_right, n_left)``.
-    Every chain shares the one record of a height pair and direction, so a
-    plan holds references and no per-step tuple.  The tables come first,
-    from ``local_table``, which holds their rank work to the budget; a
-    single factor has no chain and builds nothing.
+    A chain is ``(q0, step, index, records)``: its start factor, -1 for D^L
+    and +1 for D^R, the column index of that factor's height, and one
+    record per met factor, nearest first.  A record is ``(index of the met
+    factor's height, energies, moved, met stride, moving stride)``: the
+    pair code is ``met * met stride + moving * moving stride``, and
+    ``moved`` holds, by pair code, the code of the moving factor after
+    sigma.  Every chain shares the one record of a height pair and
+    direction, so a plan holds references and no per-step tuple.  The
+    tables come first, from ``local_table``, which holds their rank work to
+    the budget; a single factor has no chain and builds nothing.
     """
     records = {}  # both chains meet the pairs (heights[a], heights[b]), a < b
-    for pair in dict.fromkeys(combinations(heights, 2)):
-        t = local_table(ct, *pair)
-        rest = (t.energies, t.image, t.n_right, t.n_left)
-        records[pair] = ((t.left_index,) + rest, (t.right_index,) + rest)
+    for hl, hr in dict.fromkeys(combinations(heights, 2)):
+        t = local_table(ct, hl, hr)
+        n_left, n_right = len(columns(ct, hl)), len(columns(ct, hr))
+        # sigma's image l' * n_left + r': D^L moves on as l', D^R as r'
+        records[hl, hr] = (
+            (_column_index(ct, hl), t.energies,
+             array("i", [c // n_left for c in t.image]), n_right, 1),
+            (_column_index(ct, hr), t.energies,
+             array("i", [c % n_left for c in t.image]), 1, n_right),
+        )
     left = tuple(
-        (q0, _column_index(ct, h), tuple(records[hl, h][0] for hl in heights[q0 - 1::-1]))
+        (q0, -1, _column_index(ct, h), tuple(records[hl, h][0] for hl in heights[q0 - 1::-1]))
         for q0, h in enumerate(heights[1:], 1)
     )
     right = tuple(
-        (q0, _column_index(ct, h), tuple(records[h, hr][1] for hr in heights[q0 + 1:]))
+        (q0, 1, _column_index(ct, h), tuple(records[h, hr][1] for hr in heights[q0 + 1:]))
         for q0, h in enumerate(heights[:-1])
     )
     return left, right
 
 
-def _left_chain(chains, factors, terms=None):
-    """The summed local energies of a run of D^L chains of a transport plan.
+def _chain_sum(chains, factors, terms=None):
+    """The summed local energies of a run of chains of a transport plan.
 
-    Factors are indexed left to right from 0.  The chain of factor ``q0``
-    transports it leftward by the R-matrix past ``factors[q0 - 1], ...,
-    factors[0]``; the local energy of each pair it meets is added, nearest
-    first, and appended to ``terms`` when given.  The chain reads only
-    ``factors[: q0 + 1]``, and the moving factor travels as its code.
+    Factors are indexed left to right from 0.  The D^L chain of factor
+    ``q0`` transports it leftward by the R-matrix past ``factors[q0 - 1],
+    ..., factors[0]``, so it reads only ``factors[: q0 + 1]``; the D^R chain
+    transports it rightward past ``factors[q0 + 1], ..., factors[-1]``.  The
+    local energy of each pair a chain meets is added, nearest first, and
+    appended to ``terms`` when given.  The moving factor travels as its code.
     """
     total = 0
-    for q, index, steps in chains:
+    for q, step, index, records in chains:
         moving = index[factors[q]]
-        for met, energies, image, n_right, n_left in steps:
-            q -= 1
-            p = met[factors[q]] * n_right + moving
+        for met, energies, moved, met_stride, moving_stride in records:
+            q += step
+            p = met[factors[q]] * met_stride + moving * moving_stride
             h = energies[p]
             total += h
             if terms is not None:
                 terms.append(h)
-            if q:
-                moving = image[p] // n_left
+            moving = moved[p]
     return total
 
 
 def energy_DL(elem):
     """Left energy: transport each factor leftward and sum local energies."""
     factors = elem.factors
-    return _left_chain(_transport_plan(elem.cartan, tuple(map(len, factors)))[0], factors)
-
-
-def _right_chain(chains, factors, terms=None):
-    """The summed local energies of a run of D^R chains of a transport plan.
-
-    The mirror of :func:`_left_chain`: the chain of factor ``q0`` transports
-    it rightward past ``factors[q0 + 1], ..., factors[-1]``, and reads only
-    ``factors[q0:]``.
-    """
-    last = len(factors) - 1
-    total = 0
-    for q, index, steps in chains:
-        moving = index[factors[q]]
-        for met, energies, image, n_right, n_left in steps:
-            q += 1
-            p = moving * n_right + met[factors[q]]
-            h = energies[p]
-            total += h
-            if terms is not None:
-                terms.append(h)
-            if q < last:
-                moving = image[p] % n_left
-    return total
+    return _chain_sum(_transport_plan(elem.cartan, tuple(map(len, factors)))[0], factors)
 
 
 def energy_DR(elem):
     """Right energy: transport each factor rightward and sum local energies."""
     factors = elem.factors
-    return _right_chain(_transport_plan(elem.cartan, tuple(map(len, factors)))[1], factors)
+    return _chain_sum(_transport_plan(elem.cartan, tuple(map(len, factors)))[1], factors)
 
 
 @dataclass(frozen=True)
@@ -449,7 +432,7 @@ def energy_report(elem):
     n = len(factors)
     left, right = _transport_plan(elem.cartan, elem.heights)
     left_h, right_h = [], []
-    d_left, d_right = _left_chain(left, factors, left_h), _right_chain(right, factors, right_h)
+    d_left, d_right = _chain_sum(left, factors, left_h), _chain_sum(right, factors, right_h)
     # the terms come chain by chain, each nearest first
     left_keys = ((n - q, n - q0) for q0 in range(1, n) for q in range(q0 - 1, -1, -1))
     right_keys = ((n - q0, n - q) for q0 in range(n - 1) for q in range(q0 + 1, n))

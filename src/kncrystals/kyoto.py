@@ -26,6 +26,7 @@ from functools import lru_cache
 from .core import (
     TensorElement,
     _check_rank_work,
+    _require_factors,
     column_eps_weight,
     column_phi_weight,
     columns,
@@ -67,6 +68,7 @@ def ground_states(ct, heights, budget=100_000):
     last entry.  States are returned sorted by their factor serialization.
     """
     heights = tuple(heights)
+    _require_factors(heights)
     # the column tables, budget-checked, come before any weight vector
     by_eps = [_columns_by_eps(ct, h) for h in reversed(heights)]
     out = []

@@ -27,7 +27,7 @@ from .core import (
     iter_tensor_elements,
     weight,
 )
-from .energy import _left_chain, _transport_plan, combinatorial_r, energy_DL
+from .energy import _chain_sum, _transport_plan, combinatorial_r, energy_DL
 from .errors import EnergyInconsistent, ShapeTooLarge, WeightMismatch
 
 
@@ -180,7 +180,7 @@ class _PrefixScan:
                     sum(arm[base + half][row] for half, row in cells),
                 )
             factors[p] = col
-            d = dl + _left_chain(chains[p - 1:p], factors) if chains is not None else None
+            d = dl + _chain_sum(chains[p - 1:p], factors) if chains is not None else None
             w = tuple(map(add, wt, content))
             a = arms + step[1]
             if p < self.last:

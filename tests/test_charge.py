@@ -64,10 +64,8 @@ def test_charge_word_type_c_full_biword():
     assert tuple(x for x, _ in cw.biletters) == (
         -1, -1, -2, -2, -2, -2, -3, -3, -3, -3, -4, -4, -5, -5, 3, 3, 2, 2, 1, 1,
     )
-    assert cw.cw2_names() == (
-        "1'", "1", "3'", "2'", "1'", "1", "3", "2", "1'", "1",
-        "2'", "2", "1'", "1", "3'", "2'", "3", "2", "3'", "3",
-    )
+    # odd labels are unprimed: 2 is 1' and 1 is 1
+    assert cw.cw2 == (2, 1, 6, 4, 2, 1, 5, 3, 2, 1, 4, 3, 2, 1, 6, 4, 5, 3, 6, 5)
 
 
 def test_split_form_of_exchc():

@@ -17,10 +17,15 @@ from kncrystals import (
     CartanType,
     columns,
     crystal_graph,
+    crystal_size,
     element,
     graph_to_dot,
+    ground_states,
+    macdonald_p_q0,
     parse_filling,
+    run_bench,
     serialize_filling,
+    tensor_elements,
 )
 from kncrystals.cli import build_parser, main
 from kncrystals.errors import AdmissibilityViolation, CrystalError, ParseError
@@ -203,6 +208,44 @@ def test_cli_graph_to_file(tmp_path, capsys):
     assert target.read_text().startswith("digraph crystal {")
 
 
+def test_cli_graph_to_a_directory_is_a_usage_error(tmp_path, capsys):
+    rc = main(["graph", "-t", "A", "-n", "3", "--heights", "1", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: IsADirectoryError"), err
+
+
+_EMPTY_SHAPE_COMMANDS = [
+    ["enumerate"],
+    ["ground-states"],
+    ["macdonald"],
+    ["kostka", "--lambda", "1"],
+    ["xsum", "--lambda", "1"],
+    ["graph"],
+    ["verify"],
+    ["bench", "--trials", "5", "--repeats", "1"],
+]
+
+
+@pytest.mark.parametrize("command", _EMPTY_SHAPE_COMMANDS, ids=lambda c: c[0])
+def test_cli_refuses_an_empty_shape(command, capsys):
+    rc = main(command[:1] + ["-t", "A", "-n", "3", "--mu", ","] + command[1:])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.splitlines() == ["error: ValueError: empty entry in the list ','"]
+
+
+@pytest.mark.parametrize(
+    "route",
+    [crystal_size, tensor_elements, crystal_graph, ground_states, run_bench,
+     macdonald_p_q0],
+    ids=lambda f: f.__name__,
+)
+def test_a_shape_with_no_factors_is_refused(route):
+    with pytest.raises(ValueError, match="at least one factor"):
+        route(C3, ())
+
+
 def test_cli_verify_budget(capsys):
     rc = main(["verify", "-t", "C", "-n", "3", "--heights", "3,3", "--budget", "10",
                "--suites", "theorem"])
@@ -217,6 +260,10 @@ def test_cli_error_exit_codes(capsys):
     capsys.readouterr()
     assert main(["macdonald", "-t", "C", "-n", "2", "--mu", "1,1,1"]) == 2
     capsys.readouterr()
+    assert main(["macdonald", "-t", "A", "-n", "3", "--mu", "2,,1"]) == 2
+    assert "empty entry" in capsys.readouterr().err
+    assert main(["ground-states", "-t", "A", "-n", "3", "--heights", ""]) == 2
+    assert "empty entry" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["bogus-command"])
     assert exc.value.code == 2
@@ -414,7 +461,7 @@ _SMALL_RANKS = st.integers(min_value=-1, max_value=3)
 # above 10**7 even one column of height 1 passes the default vertex budget
 # of 5,000,000, so every shape must be refused before any work
 _HUGE_RANKS = st.integers(min_value=10**7, max_value=10**12)
-_SHAPE_TEXT = st.lists(st.integers(min_value=-1, max_value=3), min_size=1, max_size=3).map(
+_SHAPE_TEXT = st.lists(st.integers(min_value=-1, max_value=3), min_size=0, max_size=3).map(
     lambda parts: ",".join(map(str, parts))
 )
 

@@ -91,7 +91,7 @@ def test_macdonald_runs_no_energy_chain(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("a D^L chain ran")
 
-    monkeypatch.setattr(qpoly_module, "_left_chain", fail)
+    monkeypatch.setattr(qpoly_module, "_chain_sum", fail)
     monkeypatch.setattr(qpoly_module, "_transport_plan", fail)
     assert macdonald_p_q0(C3, (2, 1)) == want
     assert {d for _, _, d, _ in _prefix_scan(C3, (2, 1), _energy=False)} == {None}

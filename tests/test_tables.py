@@ -255,7 +255,7 @@ pools = [columns(ct, h) for h in heights]
 for _ in range(1000):
     energy_DL(TensorElement(ct, tuple(rng.choice(p) for p in pools)))
 table = local_table(ct, 4, 3)
-print(len(table.sigma) == len(table.h) == table.n_left * table.n_right)
+print(len(table.sigma) == len(table.h) == len(columns(ct, 4)) * len(columns(ct, 3)))
 """
 
 
