@@ -20,13 +20,14 @@ class BenchReport:
     trials: int
     repeats: int
     charge_ns_per_element: float
+    charge_cold_ns_per_element: float
     energy_warm_ns_per_element: float
     energy_cold_seconds: float
     energy_over_charge_ratio: float
     agreement: bool
 
     def to_json(self):
-        doc = {**asdict(self), "schema_version": 2}
+        doc = {**asdict(self), "schema_version": 3}
         return json.dumps(doc, indent=2, sort_keys=True)
 
     def to_text(self):
@@ -35,6 +36,8 @@ class BenchReport:
                 f"shape: {self.cartan} heights={list(self.heights)}",
                 f"sampled elements: {self.trials} (timing repeats: {self.repeats})",
                 f"charge: {self.charge_ns_per_element:.0f} ns/element (median)",
+                f"charge first pass (fills its step tables): "
+                f"{self.charge_cold_ns_per_element:.0f} ns/element",
                 f"energy (warm tables): {self.energy_warm_ns_per_element:.0f} ns/element (median)",
                 f"energy table build (cold): {self.energy_cold_seconds:.3f} s",
                 f"ratio energy/charge: {self.energy_over_charge_ratio:.2f}x",
@@ -60,7 +63,9 @@ def run_bench(ct, heights, trials=10_000, seed=0, repeats=3):
         for _ in range(trials)
     ]
 
+    t0 = time.perf_counter()
     charges = [charge(b) for b in sample]
+    charge_cold = (time.perf_counter() - t0) * 1e9 / len(sample)
 
     t0 = time.perf_counter()
     for hl in set(heights):
@@ -90,6 +95,7 @@ def run_bench(ct, heights, trials=10_000, seed=0, repeats=3):
         trials=trials,
         repeats=repeats,
         charge_ns_per_element=charge_ns,
+        charge_cold_ns_per_element=charge_cold,
         energy_warm_ns_per_element=energy_ns,
         energy_cold_seconds=cold,
         energy_over_charge_ratio=energy_ns / charge_ns if charge_ns else 0.0,

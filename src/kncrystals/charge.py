@@ -16,11 +16,20 @@ cached per column, and they are sorted, so the circularly smallest unused
 key from ``p`` is the first one ``>= p`` (found by bisection), or else the
 smallest one.  One position-free circular step, :func:`_circ_step`,
 reorders a factor against the key column produced before it and returns
-the produced key columns and the descent cells ``(half, row)``.  ``charge``
-adds up their arms factor by factor, with no filling built; :func:`circ_ord`
-places the columns and the cells in the filling and maps keys back to
-letters in closed form; the prefix-sharing scan of :mod:`kncrystals.qpoly`
-runs the step once per prefix instead of once per vertex.
+the produced key columns and the descent cells ``(half, row)``;
+:func:`circ_ord` places them in the filling and maps keys back to letters
+in closed form.
+
+A step depends only on the key column produced before it and the factor's
+column, so ``charge`` and the prefix scan of :mod:`kncrystals.qpoly` read
+it from process-wide int arrays, one per ``(ct, h_prev, h)``, at ``(prev
+code + 1) * |columns(ct, h)| + column code`` (-1 where none is stored).  A
+column's code is its place in ``columns(ct, h)``; a produced key column (in
+row order, so not a column) gets one on first sight from a registry per
+``(ct, h)``, and the first factor's prev code is -1.  An entry holds the
+next code above a bitmask of the descent rows, whose arms depend on the
+position and are summed per shape.  A miss runs the plain step; a step that
+raises is never stored, and a table stops at ``STEP_TABLE_CAP`` slots.
 
 Both routes require the column heights to be weakly decreasing left to right;
 callers holding an unsorted element can reorder it with
@@ -29,17 +38,29 @@ callers holding an unsorted element can reorder it with
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from operator import lt
 
-from .core import split_column
+from .core import _PerShape, _check_rank_work, _column_index, split_column
 from .errors import (
     HeightsNotSorted,
     NotPartitionContent,
     OddArmSum,
+    ShapeTooLarge,
 )
+
+#: Slots per step table; a step whose slot lies past it is not stored, and a
+#: produced key column it meets for the first time gets no code.
+STEP_TABLE_CAP = 1 << 16
+_SPILL = 1 << 40  # codes from here on: key columns that got none, per caller
+
+# (ct, h_prev, h) -> array of entries by key, -1 where no step is stored yet
+_STEP_TABLES = {}
+_KEY_CODES = {}  # (ct, h) -> ([produced key column by code], {key column: code})
 
 
 def _require_sorted(heights):
@@ -233,25 +254,95 @@ def charge_from_filling(filling):
     return _halve(arms, 2 if filling.doubled else 1, filling.cols)
 
 
+class _ArmSums(dict):
+    """Descent rows (a bitmask) -> their arm sum at one position, filled on first sight."""
+
+    def __init__(self, arm):
+        self.arm = arm
+
+    def __missing__(self, rows):
+        total = self[rows] = sum(a for row, a in enumerate(self.arm) if rows >> row & 1)
+        return total
+
+
+def _coded_plan(ct, heights):
+    """Per factor: (column index, column count, step table, shift, mask, arm
+    sums, key columns, key codes), the last two its height's registry.  An
+    entry ``e`` holds the next code ``e >> shift`` and the rows ``e & mask``.
+    """
+    halves = 2 if ct.family == "C" else 1
+    arm, plan = _arm_table(heights, halves), []
+    for p, (h_prev, h) in enumerate(zip(heights[:1] + heights, heights)):
+        index = _column_index(ct, h)
+        plan.append((index, len(index), _STEP_TABLES.setdefault((ct, h_prev, h), array("i")),
+                     h + 1, (2 << h) - 1, _ArmSums(arm[p * halves]),
+                     *_KEY_CODES.setdefault((ct, h), ([], {}))))
+    return plan
+
+
+@_PerShape
+def _charge_plan(ct, heights):
+    """``_charge_plan[ct, heights]``: ``_coded_plan``, or None if a table's
+    rank work is over the budget.
+
+    Each table's pair of heights is checked as ``local_table`` checks its own.
+    """
+    try:
+        for pair in zip(heights[:1] + heights, heights):
+            _check_rank_work(ct, pair)
+    except ShapeTooLarge:
+        return None
+    return _coded_plan(ct, heights)
+
+
+def _step_miss(ct, rec, prev_keys, code, col, spill):
+    """The entry of a step its table lacks: the plain step, stored if its row fits the cap.
+
+    ``code`` is -1 before the first factor, else the previous key column's
+    place in ``prev_keys``, or from ``_SPILL`` on for one that got no code
+    past a full table: ``spill``, the caller's, maps such codes and key
+    columns both ways.  A table grows by whole rows of ``n`` slots.
+    """
+    index, n, table, shift, _, _, keys, codes = rec
+    prev = None if code < 0 else prev_keys[code] if code < _SPILL else spill[code]
+    produced, cells = _circ_step(ct, prev, col)
+    key, end = produced[-1], (code + 2) * n
+    nxt = codes.get(key)
+    if nxt is None and end <= STEP_TABLE_CAP:
+        nxt = codes[key] = len(keys)
+        keys.append(key)
+    elif nxt is None:
+        nxt = spill.setdefault(key, _SPILL + len(spill) // 2)
+        spill[nxt] = key
+    entry = nxt << shift | sum(1 << row for _, row in cells)
+    if end <= STEP_TABLE_CAP and entry < 1 << 31:  # a slot holds an "i"
+        table.extend(repeat(-1, end - len(table)))
+        table[(code + 1) * n + index[col]] = entry
+    return entry
+
+
 def charge(elem):
     """The charge statistic; equal to minus the energy D.
 
-    One pass over the factors that sums the descent arms as it goes.
+    One pass over the factors that reads each step from the step tables and
+    adds up the descent arms, with no filling built.  Over the rank budget
+    it takes the plain route of ``circ_ord``, which builds no column index.
     """
-    ct = elem.cartan
-    heights = elem.heights
+    ct, heights, factors = elem.cartan, elem.heights, elem.factors
     _require_sorted(heights)
-    halves = 2 if ct.family == "C" else 1
-    arm = _arm_table(heights, halves)
-    prev = None
-    arms = base = 0
-    for col in elem.factors:
-        produced, cells = _circ_step(ct, prev, col)
-        prev = produced[-1]
-        for half, row in cells:
-            arms += arm[base + half][row]
-        base += halves
-    return _halve(arms, halves, elem.factors)
+    plan = _charge_plan[ct, heights]
+    if plan is None:
+        return charge_from_filling(circ_ord(elem))
+    code, keys, spill, arms = -1, None, {}, 0
+    for rec, col in zip(plan, factors):
+        index, n, table, shift, mask, sums, next_keys, _ = rec
+        key = (code + 1) * n + index[col]
+        entry = table[key] if key < len(table) else -1
+        if entry < 0:
+            entry = _step_miss(ct, rec, keys, code, col, spill)
+        code, keys = entry >> shift, next_keys
+        arms += sums[entry & mask]
+    return _halve(arms, 2 if ct.family == "C" else 1, factors)
 
 
 def _selection_charge(word, paired):

@@ -296,6 +296,27 @@ def _column_index(ct, h):
     return {c: k for k, c in enumerate(columns(ct, h))}
 
 
+#: A per-shape plan of more factors than this is built per lookup and not
+#: kept, so a long element leaves no per-shape state behind.
+PLAN_CACHE_FACTORS = 64
+
+
+class _PerShape(dict):
+    """``plans[ct, heights]`` is ``build(ct, heights)``, kept per shape of at
+    most ``PLAN_CACHE_FACTORS`` factors.  A dict and not a wrapped
+    ``lru_cache``: a hit runs no Python frame.
+    """
+
+    def __init__(self, build):
+        self.build = build
+
+    def __missing__(self, shape):
+        plan = self.build(*shape)
+        if len(shape[1]) <= PLAN_CACHE_FACTORS:
+            self[shape] = plan
+        return plan
+
+
 def column_content(ct, col):
     m = [0] * ct.n
     for x in col:

@@ -15,11 +15,11 @@ Both walks run over integer codes.  A column's code is its position in
 ``columns(ct, h)``, so the generator is 0, and a pair of columns has the
 code ``l * |B_right| + r``.  Per (type, height, index) the column data are
 flat tuples by code: eps, phi, and the codes of the f and e targets, -1
-where the operator is undefined.  A :class:`LocalEnergyTable` keeps two
-flat arrays by pair code, sigma's image code and H, and its ``sigma`` and
-``h`` are read-only mappings over them.  Each pass over a view iterates the
-product of the two column tuples, in pair-code order, and keeps nothing; a
-sigma read decodes the image code into its two columns.
+where the operator is undefined.  A :class:`LocalEnergyTable` keeps three
+flat arrays by pair code, the codes of the two columns of sigma's image and
+H, and its ``sigma`` and ``h`` are read-only mappings over them.  Each pass
+over a view iterates the product of the two column tuples, in pair-code
+order, and keeps nothing.
 
 Both tables are memoized per (cartan type, left height, right height) and are
 immutable once built, so concurrent readers are safe; rebuilding a table is
@@ -42,13 +42,14 @@ from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 
 from .core import (
     DEMAZURE_LEVEL,
     TensorElement,
     _check_rank_work,
     _column_index,
+    _PerShape,
     column_content,
     column_e,
     column_eps_phi,
@@ -78,12 +79,14 @@ def _column_codes(ct, h, i):
     """
     cols = columns(ct, h)
     code = _column_index(ct, h).get
-    eps_t, phi_t = zip(*(column_eps_phi(ct, i, c) for c in cols))
+    # each map is read once here, so the operators' per-column caches are
+    # bypassed; left filled, they held about 1.5 MB on C5
+    eps_t, phi_t = zip(*(column_eps_phi.__wrapped__(ct, i, c) for c in cols))
     return (
         eps_t,
         phi_t,
-        tuple(code(column_f(ct, i, c), -1) for c in cols),
-        tuple(code(column_e(ct, i, c), -1) for c in cols),
+        tuple(code(column_f.__wrapped__(ct, i, c), -1) for c in cols),
+        tuple(code(column_e.__wrapped__(ct, i, c), -1) for c in cols),
     )
 
 
@@ -113,7 +116,10 @@ class _PairView(Mapping):
 class LocalEnergyTable:
     """Memoized sigma and H for one ordered pair of column crystals."""
 
-    image: array  # by pair code l * n_right + r: sigma's image l' * n_left + r'
+    # by pair code l * n_right + r: sigma's image (l', r') in the swapped
+    # product, as the code of l' (right height) and of r' (left height)
+    image_left: array
+    image_right: array
     energies: array  # by pair code: H
     sigma: Mapping  # (left, right) -> (left', right') in the swapped product
     h: Mapping  # (left, right) -> int
@@ -298,16 +304,19 @@ def local_table(ct, h_left, h_right):
     _check_rank_work(ct, (h_left, h_right))
     components, label, image = _build_sigma(ct, h_left, h_right)
     hv = _build_h(ct, h_left, h_right, components, label, image)
-    image, hv = array("i", image), array("h", hv)  # "h" raises OverflowError
+    hv = array("h", hv)  # "h" raises OverflowError
 
     cols_right, cols_left = columns(ct, h_right), columns(ct, h_left)
+    # the image's code is l' * n_left + r'; a byte a code where the columns allow
+    n_left, wide = len(cols_left), "B" if max(len(cols_left), len(cols_right)) <= 256 else "I"
+    image_left = array(wide, [c // n_left for c in image])
+    image_right = array(wide, [c % n_left for c in image])
 
-    def sigma(p):  # the image's code is l' * n_left + r' in the swapped product
-        l, r = divmod(image[p], len(cols_left))
-        return cols_right[l], cols_left[r]
+    def sigma(p):
+        return cols_right[image_left[p]], cols_left[image_right[p]]
 
     return LocalEnergyTable(
-        image, hv,
+        image_left, image_right, hv,
         _PairView(ct, h_left, h_right, sigma), _PairView(ct, h_left, h_right, hv.__getitem__),
     )
 
@@ -339,9 +348,10 @@ def tau(elem):
     return TensorElement(ct, tuple(column_involution(ct, c) for c in reversed(elem.factors)))
 
 
-@lru_cache(maxsize=None)
+@_PerShape
 def _transport_plan(ct, heights):
-    """The D^L and D^R chains of every factor of one shape: ``(left, right)``.
+    """``_transport_plan[ct, heights]``: the D^L and D^R chains of every
+    factor of one shape, ``(left, right)``.
 
     A chain is ``(q0, step, index, records)``: its start factor, -1 for D^L
     and +1 for D^R, the column index of that factor's height, and one
@@ -352,25 +362,24 @@ def _transport_plan(ct, heights):
     sigma.  Every chain shares the one record of a height pair and
     direction, so a plan holds references and no per-step tuple.  The
     tables come first, from ``local_table``, which holds their rank work to
-    the budget; a single factor has no chain and builds nothing.
+    the budget; a single factor has no chain and builds nothing.  A shape
+    of more than ``PLAN_CACHE_FACTORS`` factors gets its plan per call.
     """
-    records = {}  # both chains meet the pairs (heights[a], heights[b]), a < b
+    # both chains meet the pairs (heights[a], heights[b]), a < b
+    left_records, right_records = {}, {}
     for hl, hr in dict.fromkeys(combinations(heights, 2)):
-        t = local_table(ct, hl, hr)
-        n_left, n_right = len(columns(ct, hl)), len(columns(ct, hr))
-        # sigma's image l' * n_left + r': D^L moves on as l', D^R as r'
-        records[hl, hr] = (
-            (_column_index(ct, hl), t.energies,
-             array("i", [c // n_left for c in t.image]), n_right, 1),
-            (_column_index(ct, hr), t.energies,
-             array("i", [c % n_left for c in t.image]), 1, n_right),
-        )
+        t, n_right = local_table(ct, hl, hr), len(columns(ct, hr))
+        # sigma's image (l', r'): D^L moves on as l', D^R as r'
+        left_records[hl, hr] = (_column_index(ct, hl), t.energies, t.image_left, n_right, 1)
+        right_records[hl, hr] = (_column_index(ct, hr), t.energies, t.image_right, 1, n_right)
     left = tuple(
-        (q0, -1, _column_index(ct, h), tuple(records[hl, h][0] for hl in heights[q0 - 1::-1]))
+        (q0, -1, _column_index(ct, h),
+         tuple(map(left_records.get, zip(heights[q0 - 1::-1], repeat(h)))))
         for q0, h in enumerate(heights[1:], 1)
     )
     right = tuple(
-        (q0, 1, _column_index(ct, h), tuple(records[h, hr][1] for hr in heights[q0 + 1:]))
+        (q0, 1, _column_index(ct, h),
+         tuple(map(right_records.get, zip(repeat(h), heights[q0 + 1:]))))
         for q0, h in enumerate(heights[:-1])
     )
     return left, right
@@ -403,13 +412,13 @@ def _chain_sum(chains, factors, terms=None):
 def energy_DL(elem):
     """Left energy: transport each factor leftward and sum local energies."""
     factors = elem.factors
-    return _chain_sum(_transport_plan(elem.cartan, tuple(map(len, factors)))[0], factors)
+    return _chain_sum(_transport_plan[elem.cartan, tuple(map(len, factors))][0], factors)
 
 
 def energy_DR(elem):
     """Right energy: transport each factor rightward and sum local energies."""
     factors = elem.factors
-    return _chain_sum(_transport_plan(elem.cartan, tuple(map(len, factors)))[1], factors)
+    return _chain_sum(_transport_plan[elem.cartan, tuple(map(len, factors))][1], factors)
 
 
 @dataclass(frozen=True)
@@ -430,7 +439,7 @@ class EnergyReport:
 def energy_report(elem):
     factors = elem.factors
     n = len(factors)
-    left, right = _transport_plan(elem.cartan, elem.heights)
+    left, right = _transport_plan[elem.cartan, elem.heights]
     left_h, right_h = [], []
     d_left, d_right = _chain_sum(left, factors, left_h), _chain_sum(right, factors, right_h)
     # the terms come chain by chain, each nearest first

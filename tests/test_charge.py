@@ -1,13 +1,17 @@
+import random
 from importlib import import_module
 
 import pytest
+from util import clear_step_tables
 
 from kncrystals import (
     CartanType,
+    TensorElement,
     charge,
     charge_via_selection,
     charge_word,
     circ_ord,
+    columns,
     e,
     element,
     eps,
@@ -18,6 +22,7 @@ from kncrystals import (
     split_factors,
 )
 from kncrystals.errors import HeightsNotSorted, NotPartitionContent, OddArmSum
+from kncrystals.qpoly import _prefix_scan
 
 # the package exports the function ``charge``, which shadows the module
 charge_module = import_module("kncrystals.charge")
@@ -210,3 +215,78 @@ def test_circ_ord_maps_every_key_back_to_its_letter():
         for x in ct.alphabet():
             halves = 2 if ct.family == "C" else 1
             assert circ_ord(element(ct, [(x,)])).cols == ((x,),) * halves
+
+
+@pytest.fixture
+def fresh_tables():
+    """Charge's step tables, registries and plans, empty before and after the test."""
+    clear_step_tables()
+    yield
+    clear_step_tables()
+
+
+def _sample(ct, heights, size, seed):
+    rng = random.Random(seed)
+    pools = [columns(ct, h) for h in heights]
+    return [TensorElement(ct, tuple(map(rng.choice, pools))) for _ in range(size)]
+
+
+def _assert_coded_charge_matches_both_routes(elements):
+    # a first pass fills the tables and a second reads them warm
+    for _ in range(2):
+        for b in elements:
+            c = charge(b)
+            assert c == charge_module.charge_from_filling(circ_ord(b)), b
+            assert c == charge_via_selection(b), b
+
+
+# Both shapes repeat adjacent height pairs, so positions with different arms
+# share a step table: an arm sum stored with the step would be wrong here.
+@pytest.mark.parametrize("ct, heights", [
+    (CartanType("A", 3), (2, 2, 2, 1, 1, 1)),
+    (C2, (2, 2, 2, 1, 1)),
+])
+def test_coded_charge_matches_both_routes_on_every_element(fresh_tables, ct, heights):
+    _assert_coded_charge_matches_both_routes(list(iter_tensor_elements(ct, heights)))
+
+
+@pytest.mark.parametrize("ct, heights", [
+    (C3, (2, 2, 2, 1, 1)),
+    (CartanType("A", 4), (2, 2, 2, 1, 1, 1)),
+])
+def test_coded_charge_matches_both_routes_on_a_sample(fresh_tables, ct, heights):
+    _assert_coded_charge_matches_both_routes(_sample(ct, heights, 2000, seed=14))
+
+
+def test_capped_tables_change_no_charge(fresh_tables, monkeypatch):
+    # a few rows of each table fit, so steps are stored, run past a full
+    # table, and run from key columns that got no code
+    cap = 30
+    monkeypatch.setattr(charge_module, "STEP_TABLE_CAP", cap)
+    shapes = ((C3, (2, 2, 1)), (CartanType("A", 4), (3, 2, 1, 1)))
+    for ct, heights in shapes:
+        for b in iter_tensor_elements(ct, heights):
+            assert charge(b) == charge_via_selection(b), b
+        # the scan carries codes, and past the cap codes of key columns
+        # that got none in the tables
+        for factors, c, _, _ in _prefix_scan(ct, heights, _energy=False):
+            assert c == charge_via_selection(TensorElement(ct, factors)), factors
+    tables = charge_module._STEP_TABLES
+    assert tables and max(map(len, tables.values())) <= cap
+    assert sum(len(codes) for _, codes in charge_module._KEY_CODES.values()) <= cap * len(tables)
+
+
+def test_a_raising_step_is_never_stored(fresh_tables, monkeypatch):
+    b = element(C2, [(1,)])
+    monkeypatch.setattr(charge_module, "_key_columns", lambda ct, col: ((2,), (1,)))
+    for _ in range(2):
+        with pytest.raises(OddArmSum, match="inside the split pair"):
+            charge(b)
+    assert not any(charge_module._STEP_TABLES.values())  # no slot was even made
+
+
+def test_charge_over_the_rank_budget_builds_no_column_index(fresh_tables):
+    big = CartanType("A", 10**7)
+    b = element(big, [(2, 3), (1,)])
+    assert charge(b) == charge_via_selection(b)
+    assert not charge_module._STEP_TABLES and not charge_module._KEY_CODES

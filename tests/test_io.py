@@ -293,9 +293,10 @@ def test_cli_bench_smoke(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["agreement"] is True
     assert data["charge_ns_per_element"] > 0
+    assert data["charge_cold_ns_per_element"] > 0
     assert data["energy_warm_ns_per_element"] > 0
     assert data["energy_over_charge_ratio"] > 0
-    assert data["schema_version"] == 2
+    assert data["schema_version"] == 3
 
 
 def _python(*args, timeout=30):

@@ -5,7 +5,7 @@ from array import array
 from importlib import import_module
 
 import pytest
-from util import theorem_shapes
+from util import clear_step_tables, theorem_shapes
 
 import kncrystals.qpoly as qpoly_module
 from kncrystals import (
@@ -61,7 +61,9 @@ def test_theorem_scan_still_compares_both_routes():
 
 
 def test_scan_descent_inside_a_split_pair_raises(monkeypatch):
-    # the scan runs charge's circular step, which reads charge's key columns
+    # the scan runs charge's circular step on a table miss, which reads
+    # charge's key columns
+    clear_step_tables()
     monkeypatch.setattr(charge_module, "_key_columns", lambda ct, col: ((2,), (1,)))
     with pytest.raises(OddArmSum, match="split pair"):
         list(_prefix_scan(C2, (1,)))
@@ -95,3 +97,19 @@ def test_macdonald_runs_no_energy_chain(monkeypatch):
     monkeypatch.setattr(qpoly_module, "_transport_plan", fail)
     assert macdonald_p_q0(C3, (2, 1)) == want
     assert {d for _, _, d, _ in _prefix_scan(C3, (2, 1), _energy=False)} == {None}
+
+
+def test_an_altered_step_table_entry_fails_the_theorem_suite():
+    ct, heights = CartanType("A", 3), (2, 1, 1)
+    clear_step_tables()
+    try:
+        assert run_verify(ct, heights, suites=("theorem",)).suites["theorem"]["passed"]
+        # the first factor's step from the generator column: a descent at
+        # row 1 adds that row's arm to the charge of every vertex below it
+        table = charge_module._STEP_TABLES[ct, 2, 2]
+        table[0] |= 1 << 1
+        report = run_verify(ct, heights, suites=("theorem",))
+        assert not report.suites["theorem"]["passed"]
+        assert report.max_discrepancy == 3
+    finally:
+        clear_step_tables()

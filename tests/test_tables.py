@@ -345,3 +345,25 @@ def test_a_long_plan_retains_references_only():
     theorem, d_right, retained = map(int, _python(_RETAINED_BY_A_LONG_PLAN))
     assert theorem == 0 and d_right <= 0
     assert retained < 1024 * 1024
+
+
+_RETAINED_BY_A_LONG_ELEMENT = """
+import gc, random, tracemalloc
+from kncrystals import CartanType, TensorElement, charge, columns, energy_DL, energy_DR
+A3 = CartanType("A", 3)
+rng = random.Random(3)
+b = TensorElement(A3, tuple(rng.choice(columns(A3, 1)) for _ in range(2000)))
+tracemalloc.start()
+values = energy_DL(b), energy_DR(b), charge(b)
+gc.collect()
+print(*values, tracemalloc.get_traced_memory()[0])
+"""
+
+
+def test_a_long_element_leaves_no_plan_behind():
+    # the plans of a shape of more than PLAN_CACHE_FACTORS factors are built
+    # per call: cached, the transport plan of these 2,000 factors retained
+    # about 31 MB
+    d_left, d_right, c, retained = map(int, _python(_RETAINED_BY_A_LONG_ELEMENT))
+    assert d_left == -c and d_right <= 0
+    assert retained < 1024 * 1024

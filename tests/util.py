@@ -1,6 +1,22 @@
 """Shared helpers for the test suite."""
 
+from importlib import import_module
+
 from kncrystals import CartanType, conjugate
+
+# the package exports the function ``charge``, which shadows the module
+charge_module = import_module("kncrystals.charge")
+
+
+def clear_step_tables():
+    """Forget charge's step tables, key column registries and cached plans.
+
+    A test that patches the plain circular step clears them first, or a
+    table warmed by an earlier test would answer in its place.
+    """
+    charge_module._STEP_TABLES.clear()
+    charge_module._KEY_CODES.clear()
+    charge_module._charge_plan.clear()
 
 
 def partitions_of(total, maxpart=None):
