@@ -154,21 +154,25 @@ class CircFilling:
         return self.descent_cells
 
     def arm(self, row, col):
-        return _arm_table(self.heights)[col][row]
+        return _arm_table[self.cartan, self.heights[:: 2 if self.doubled else 1]][col][row]
 
 
-@lru_cache(maxsize=None)
-def _arm_table(heights, copies=1):
-    """``table[col][row]``: the cells in ``row`` from column ``col`` (0-based) on.
+@_PerShape
+def _arm_table(ct, heights):
+    """``_arm_table[ct, heights]``: ``table[col][row]``, the cells in ``row``
+    from column ``col`` (0-based) of the filling on.
 
-    Every height is repeated ``copies`` times, once per split half.
+    In type C every height is repeated, once per split half.  The table is
+    built from the right by suffix counts.
     """
-    heights = tuple(h for h in heights for _ in range(copies))
-    rows = range(max(heights) + 1)
-    return tuple(
-        tuple(sum(1 for h in heights[col:] if h >= row) for row in rows)
-        for col in range(len(heights))
-    )
+    halves = 2 if ct.family == "C" else 1
+    count, table = [0] * (max(heights) + 1), []
+    for h in reversed(heights):
+        for _ in range(halves):
+            for row in range(h + 1):
+                count[row] += 1
+            table.append(tuple(count))
+    return tuple(reversed(table))
 
 
 @lru_cache(maxsize=None)
@@ -249,9 +253,10 @@ def circ_ord(elem):
 
 
 def charge_from_filling(filling):
-    arm = _arm_table(filling.heights)
+    halves = 2 if filling.doubled else 1
+    arm = _arm_table[filling.cartan, filling.heights[::halves]]
     arms = sum(arm[j][i] for i, j in filling.descents())
-    return _halve(arms, 2 if filling.doubled else 1, filling.cols)
+    return _halve(arms, halves, filling.cols)
 
 
 class _ArmSums(dict):
@@ -271,7 +276,7 @@ def _coded_plan(ct, heights):
     entry ``e`` holds the next code ``e >> shift`` and the rows ``e & mask``.
     """
     halves = 2 if ct.family == "C" else 1
-    arm, plan = _arm_table(heights, halves), []
+    arm, plan = _arm_table[ct, heights], []
     for p, (h_prev, h) in enumerate(zip(heights[:1] + heights, heights)):
         index = _column_index(ct, h)
         plan.append((index, len(index), _STEP_TABLES.setdefault((ct, h_prev, h), array("i")),
@@ -285,8 +290,11 @@ def _charge_plan(ct, heights):
     """``_charge_plan[ct, heights]``: ``_coded_plan``, or None if a table's
     rank work is over the budget.
 
-    Each table's pair of heights is checked as ``local_table`` checks its own.
+    An unsorted shape raises ``HeightsNotSorted`` here, so it is never
+    cached and raises on every call.  Each table's pair of heights is
+    checked as ``local_table`` checks its own.
     """
+    _require_sorted(heights)
     try:
         for pair in zip(heights[:1] + heights, heights):
             _check_rank_work(ct, pair)
@@ -328,9 +336,8 @@ def charge(elem):
     adds up the descent arms, with no filling built.  Over the rank budget
     it takes the plain route of ``circ_ord``, which builds no column index.
     """
-    ct, heights, factors = elem.cartan, elem.heights, elem.factors
-    _require_sorted(heights)
-    plan = _charge_plan[ct, heights]
+    ct, factors = elem.cartan, elem.factors
+    plan = _charge_plan[ct, tuple(map(len, factors))]
     if plan is None:
         return charge_from_filling(circ_ord(elem))
     code, keys, spill, arms = -1, None, {}, 0
@@ -342,7 +349,7 @@ def charge(elem):
             entry = _step_miss(ct, rec, keys, code, col, spill)
         code, keys = entry >> shift, next_keys
         arms += sums[entry & mask]
-    return _halve(arms, 2 if ct.family == "C" else 1, factors)
+    return _halve(arms, 2, factors) if ct.family == "C" else arms
 
 
 def _selection_charge(word, paired):

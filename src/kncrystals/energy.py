@@ -21,6 +21,12 @@ H, and its ``sigma`` and ``h`` are read-only mappings over them.  Each pass
 over a view iterates the product of the two column tuples, in pair-code
 order, and keeps nothing.
 
+Only the tables with left height <= right height are walked; the others
+are their mirrors.  The R-matrix of B_b (x) B_a is the inverse of that of
+B_a (x) B_b, and H is R-invariant, H(sigma(b)) = H(b), so the image of each
+swapped pair q maps back to q with q's H; a slot not hit exactly once raises
+``NoMatchingComponent``.
+
 Both tables are memoized per (cartan type, left height, right height) and are
 immutable once built, so concurrent readers are safe; rebuilding a table is
 idempotent.
@@ -302,8 +308,22 @@ def _build_h(ct, h_left, h_right, components, label, image):
 def local_table(ct, h_left, h_right):
     # the column codes and the sigma walk do rank-n work on every pair
     _check_rank_work(ct, (h_left, h_right))
-    components, label, image = _build_sigma(ct, h_left, h_right)
-    hv = _build_h(ct, h_left, h_right, components, label, image)
+    if h_left > h_right:
+        # the mirror of the module docstring: the swap's sigma, inverted;
+        # a pair code of the swap is an image code here
+        src, n_right = local_table(ct, h_right, h_left), len(columns(ct, h_right))
+        image = [-1] * len(src.energies)
+        for q, (l, r) in enumerate(zip(src.image_left, src.image_right)):
+            image[l * n_right + r] = q
+        # as many writes as slots: a slot hit twice leaves another at -1
+        if -1 in image:
+            raise NoMatchingComponent(
+                f"sigma of ({h_right},{h_left}) over {ct} is not a bijection"
+            )
+        hv = map(src.energies.__getitem__, image)
+    else:
+        components, label, image = _build_sigma(ct, h_left, h_right)
+        hv = _build_h(ct, h_left, h_right, components, label, image)
     hv = array("h", hv)  # "h" raises OverflowError
 
     cols_right, cols_left = columns(ct, h_right), columns(ct, h_left)
@@ -349,40 +369,41 @@ def tau(elem):
 
 
 @_PerShape
-def _transport_plan(ct, heights):
-    """``_transport_plan[ct, heights]``: the D^L and D^R chains of every
-    factor of one shape, ``(left, right)``.
+def _transport_plan(ct, heights, step):
+    """``_transport_plan[ct, heights, step]``: the D^L (``step`` -1) or D^R
+    (``step`` +1) chains of every factor of one shape.
 
-    A chain is ``(q0, step, index, records)``: its start factor, -1 for D^L
-    and +1 for D^R, the column index of that factor's height, and one
-    record per met factor, nearest first.  A record is ``(index of the met
-    factor's height, energies, moved, met stride, moving stride)``: the
-    pair code is ``met * met stride + moving * moving stride``, and
-    ``moved`` holds, by pair code, the code of the moving factor after
-    sigma.  Every chain shares the one record of a height pair and
-    direction, so a plan holds references and no per-step tuple.  The
-    tables come first, from ``local_table``, which holds their rank work to
-    the budget; a single factor has no chain and builds nothing.  A shape
-    of more than ``PLAN_CACHE_FACTORS`` factors gets its plan per call.
+    A chain is ``(q0, step, index, records)``: its start factor, its step,
+    the column index of that factor's height, and one record per met
+    factor, nearest first.  A record is ``(index of the met factor's height,
+    energies, moved, met stride, moving stride)``: the pair code is ``met *
+    met stride + moving * moving stride``, and ``moved`` holds, by pair
+    code, the code of the moving factor after sigma.  Every chain shares the
+    one record of a height pair, so a plan holds references and no per-step
+    tuple.  The tables come first, from ``local_table``, which holds their
+    rank work to the budget; a single factor has no chain and builds
+    nothing.  A shape of more than ``PLAN_CACHE_FACTORS`` factors gets the
+    chains of the one direction asked for per call.
     """
-    # both chains meet the pairs (heights[a], heights[b]), a < b
-    left_records, right_records = {}, {}
+    # the chains meet the pairs (heights[a], heights[b]), a < b
+    records = {}
     for hl, hr in dict.fromkeys(combinations(heights, 2)):
         t, n_right = local_table(ct, hl, hr), len(columns(ct, hr))
         # sigma's image (l', r'): D^L moves on as l', D^R as r'
-        left_records[hl, hr] = (_column_index(ct, hl), t.energies, t.image_left, n_right, 1)
-        right_records[hl, hr] = (_column_index(ct, hr), t.energies, t.image_right, 1, n_right)
-    left = tuple(
-        (q0, -1, _column_index(ct, h),
-         tuple(map(left_records.get, zip(heights[q0 - 1::-1], repeat(h)))))
-        for q0, h in enumerate(heights[1:], 1)
-    )
-    right = tuple(
-        (q0, 1, _column_index(ct, h),
-         tuple(map(right_records.get, zip(repeat(h), heights[q0 + 1:]))))
+        records[hl, hr] = (
+            (_column_index(ct, hl), t.energies, t.image_left, n_right, 1) if step < 0
+            else (_column_index(ct, hr), t.energies, t.image_right, 1, n_right)
+        )
+    if step < 0:
+        return tuple(
+            (q0, -1, _column_index(ct, h),
+             tuple(map(records.get, zip(heights[q0 - 1::-1], repeat(h)))))
+            for q0, h in enumerate(heights[1:], 1)
+        )
+    return tuple(
+        (q0, 1, _column_index(ct, h), tuple(map(records.get, zip(repeat(h), heights[q0 + 1:]))))
         for q0, h in enumerate(heights[:-1])
     )
-    return left, right
 
 
 def _chain_sum(chains, factors, terms=None):
@@ -412,13 +433,13 @@ def _chain_sum(chains, factors, terms=None):
 def energy_DL(elem):
     """Left energy: transport each factor leftward and sum local energies."""
     factors = elem.factors
-    return _chain_sum(_transport_plan[elem.cartan, tuple(map(len, factors))][0], factors)
+    return _chain_sum(_transport_plan[elem.cartan, tuple(map(len, factors)), -1], factors)
 
 
 def energy_DR(elem):
     """Right energy: transport each factor rightward and sum local energies."""
     factors = elem.factors
-    return _chain_sum(_transport_plan[elem.cartan, tuple(map(len, factors))][1], factors)
+    return _chain_sum(_transport_plan[elem.cartan, tuple(map(len, factors)), 1], factors)
 
 
 @dataclass(frozen=True)
@@ -439,7 +460,8 @@ class EnergyReport:
 def energy_report(elem):
     factors = elem.factors
     n = len(factors)
-    left, right = _transport_plan[elem.cartan, elem.heights]
+    ct, heights = elem.cartan, elem.heights
+    left, right = _transport_plan[ct, heights, -1], _transport_plan[ct, heights, 1]
     left_h, right_h = [], []
     d_left, d_right = _chain_sum(left, factors, left_h), _chain_sum(right, factors, right_h)
     # the terms come chain by chain, each nearest first

@@ -2,7 +2,7 @@ import random
 from importlib import import_module
 
 import pytest
-from util import clear_step_tables
+from util import clear_step_tables, theorem_shapes
 
 from kncrystals import (
     CartanType,
@@ -19,6 +19,7 @@ from kncrystals import (
     iter_tensor_elements,
     ls_charge,
     phi,
+    shape_heights,
     split_factors,
 )
 from kncrystals.errors import HeightsNotSorted, NotPartitionContent, OddArmSum
@@ -195,12 +196,33 @@ def test_charge_drops_across_zero_raising():
 
 def test_heights_must_be_sorted():
     b = element(C3, [(1,), (1, 2)])
-    with pytest.raises(HeightsNotSorted):
-        charge(b)
+    # the shape's plan raises while it is built, so no plan is kept and the
+    # second call raises too
+    for _ in range(2):
+        with pytest.raises(HeightsNotSorted):
+            charge(b)
+    assert (C3, b.heights) not in charge_module._charge_plan
     with pytest.raises(HeightsNotSorted):
         charge_word(b)
     with pytest.raises(HeightsNotSorted):
         circ_ord(b)
+
+
+def _arms_by_rescan(heights):
+    """The arm table as first defined: each entry counts its cells anew."""
+    rows = range(max(heights) + 1)
+    return tuple(
+        tuple(sum(1 for h in heights[col:] if h >= row) for row in rows)
+        for col in range(len(heights))
+    )
+
+
+def test_arm_table_from_suffix_counts_equals_the_rescan():
+    for ct, mu in theorem_shapes():
+        heights = shape_heights(ct, mu)
+        # the filling's columns: both split halves of each factor in type C
+        filling = circ_ord(TensorElement(ct, tuple(columns(ct, h)[0] for h in heights)))
+        assert charge_module._arm_table[ct, heights] == _arms_by_rescan(filling.heights)
 
 
 def test_key_pass_equals_the_filling_route():

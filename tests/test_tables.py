@@ -1,11 +1,14 @@
 """The local energy tables: pinned contents, retained memory, and the checks
 of the coded builds."""
 
+import dataclasses
 import hashlib
 import itertools
 import os
+import random
 import subprocess
 import sys
+from array import array
 from importlib import import_module
 from pathlib import Path
 
@@ -16,6 +19,7 @@ import kncrystals
 from kncrystals import (
     CartanType,
     TensorElement,
+    charge,
     columns,
     combinatorial_r,
     energy_DL,
@@ -27,6 +31,7 @@ from kncrystals import (
     shape_heights,
     tau,
 )
+from kncrystals.core import PLAN_CACHE_FACTORS
 from kncrystals.errors import EnergyInconsistent, NoMatchingComponent
 
 energy_module = import_module("kncrystals.energy")
@@ -157,6 +162,57 @@ def test_uncorrupted_copies_build_the_same_tables(monkeypatch):
         assert sorted(covered) == list(range(len(keys)))
 
 
+def _walked(ct, hl, hr):
+    """The arrays of (hl, hr) as the component walk builds them."""
+    components, label, image = energy_module._build_sigma(ct, hl, hr)
+    energies = energy_module._build_h(ct, hl, hr, components, label, image)
+    n_left = len(columns(ct, hl))
+    return [c // n_left for c in image], [c % n_left for c in image], energies
+
+
+MIRRORED = [
+    (CartanType(family, n), hl, hr)
+    for family, ns in (("A", (3, 4, 5)), ("C", (2, 3, 4)))
+    for n in ns
+    for hl, hr in itertools.combinations(range(CartanType(family, n).max_height, 0, -1), 2)
+] + [(CartanType("C", 5), 5, 4)]
+
+
+def test_mirrored_tables_equal_the_walk():
+    for ct, hl, hr in MIRRORED:
+        table = local_table(ct, hl, hr)
+        arrays = (table.image_left, table.image_right, table.energies)
+        assert [list(a) for a in arrays] == list(_walked(ct, hl, hr)), (ct, hl, hr)
+        assert [a.typecode for a in arrays] == ["B", "B", "h"], (ct, hl, hr)
+
+
+def test_either_order_first_builds_the_same_tables():
+    def arrays(hl, hr):
+        table = local_table(C3, hl, hr)
+        return table.image_left, table.image_right, table.energies
+
+    built = []
+    try:
+        for pairs in (((3, 2), (2, 3)), ((2, 3), (3, 2))):
+            local_table.cache_clear()
+            built.append({pair: arrays(*pair) for pair in pairs})
+    finally:
+        # the cached transport plans hold the tables from before the clear
+        energy_module._transport_plan.clear()
+    assert built[0] == built[1]
+
+
+def test_a_repeated_image_code_fails_the_mirror(monkeypatch):
+    source = local_table(C3, 2, 3)
+    image_left, image_right = array("B", source.image_left), array("B", source.image_right)
+    # pair 1 gets the image of pair 0, so some pair of (3, 2) maps to no pair
+    image_left[1], image_right[1] = image_left[0], image_right[0]
+    patched = dataclasses.replace(source, image_left=image_left, image_right=image_right)
+    monkeypatch.setattr(energy_module, "local_table", lambda ct, hl, hr: patched)
+    with pytest.raises(NoMatchingComponent, match="not a bijection"):
+        local_table.__wrapped__(C3, 3, 2)
+
+
 def _reference_terms(b):
     """The D^L and D^R pair terms, transported through the public pair maps.
 
@@ -191,6 +247,25 @@ def test_coded_transport_matches_the_pair_maps():
                 assert report.right_terms == right, elem
                 assert energy_DL(elem) == report.d_left == sum(left.values()), elem
                 assert energy_DR(elem) == report.d_right == sum(right.values()), elem
+
+
+def test_a_long_energy_dl_builds_no_right_chain(monkeypatch):
+    plan, steps = energy_module._transport_plan, []
+    real = plan.build
+
+    def build(ct, heights, step):
+        steps.append(step)
+        return real(ct, heights, step)
+
+    monkeypatch.setattr(plan, "build", build)
+    A3 = CartanType("A", 3)
+    rng = random.Random(65)
+    b = TensorElement(A3, tuple(rng.choice(columns(A3, 1)) for _ in range(PLAN_CACHE_FACTORS + 1)))
+    assert energy_DL(b) == -charge(b)
+    assert steps == [-1]
+    report = energy_report(b)
+    assert steps == [-1, -1, 1]  # a long shape's chains are not kept
+    assert report.d_left == energy_DL(b) and report.d_right == energy_DR(b)
 
 
 def test_transport_reads_no_table_after_the_plan(monkeypatch):
