@@ -41,7 +41,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import repeat
 from operator import lt
 
@@ -154,24 +154,25 @@ class CircFilling:
         return self.descent_cells
 
     def arm(self, row, col):
-        return _arm_table[self.cartan, self.heights[:: 2 if self.doubled else 1]][col][row]
+        return self._arms[col][row]
+
+    @cached_property
+    def _arms(self):
+        # once per filling: a long shape's table is not kept per shape
+        return _arm_table[self.cartan, self.heights]
 
 
 @_PerShape
 def _arm_table(ct, heights):
     """``_arm_table[ct, heights]``: ``table[col][row]``, the cells in ``row``
-    from column ``col`` (0-based) of the filling on.
-
-    In type C every height is repeated, once per split half.  The table is
-    built from the right by suffix counts.
+    from column ``col`` (0-based) on of a filling whose columns have the
+    ``heights``, split halves and all.  Built from the right by suffix counts.
     """
-    halves = 2 if ct.family == "C" else 1
     count, table = [0] * (max(heights) + 1), []
     for h in reversed(heights):
-        for _ in range(halves):
-            for row in range(h + 1):
-                count[row] += 1
-            table.append(tuple(count))
+        for row in range(h + 1):
+            count[row] += 1
+        table.append(tuple(count))
     return tuple(reversed(table))
 
 
@@ -253,10 +254,9 @@ def circ_ord(elem):
 
 
 def charge_from_filling(filling):
-    halves = 2 if filling.doubled else 1
-    arm = _arm_table[filling.cartan, filling.heights[::halves]]
+    arm = filling._arms
     arms = sum(arm[j][i] for i, j in filling.descents())
-    return _halve(arms, halves, filling.cols)
+    return _halve(arms, 2 if filling.doubled else 1, filling.cols)
 
 
 class _ArmSums(dict):
@@ -276,7 +276,8 @@ def _coded_plan(ct, heights):
     entry ``e`` holds the next code ``e >> shift`` and the rows ``e & mask``.
     """
     halves = 2 if ct.family == "C" else 1
-    arm, plan = _arm_table[ct, heights], []
+    arm = _arm_table[ct, tuple(h for h in heights for _ in range(halves))]
+    plan = []
     for p, (h_prev, h) in enumerate(zip(heights[:1] + heights, heights)):
         index = _column_index(ct, h)
         plan.append((index, len(index), _STEP_TABLES.setdefault((ct, h_prev, h), array("i")),

@@ -302,8 +302,8 @@ PLAN_CACHE_FACTORS = 64
 
 
 class _PerShape(dict):
-    """``plans[ct, heights, *rest]`` is ``build(ct, heights, *rest)``, kept
-    per shape of at most ``PLAN_CACHE_FACTORS`` factors.  A dict and not a wrapped
+    """``plans[ct, heights]`` is ``build(ct, heights)``, kept per shape of at
+    most ``PLAN_CACHE_FACTORS`` factors.  A dict and not a wrapped
     ``lru_cache``: a hit runs no Python frame.
     """
 

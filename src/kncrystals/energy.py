@@ -21,11 +21,11 @@ H, and its ``sigma`` and ``h`` are read-only mappings over them.  Each pass
 over a view iterates the product of the two column tuples, in pair-code
 order, and keeps nothing.
 
-Only the tables with left height <= right height are walked; the others
-are their mirrors.  The R-matrix of B_b (x) B_a is the inverse of that of
-B_a (x) B_b, and H is R-invariant, H(sigma(b)) = H(b), so the image of each
-swapped pair q maps back to q with q's H; a slot not hit exactly once raises
-``NoMatchingComponent``.
+Only the tables with left height >= right height are walked, the ones a
+weakly decreasing shape meets; the others are their mirrors.  The R-matrix
+of B_b (x) B_a is the inverse of that of B_a (x) B_b, and H is R-invariant,
+H(sigma(b)) = H(b), so the image of each swapped pair q maps back to q with
+q's H; a slot not hit exactly once raises ``NoMatchingComponent``.
 
 Both tables are memoized per (cartan type, left height, right height) and are
 immutable once built, so concurrent readers are safe; rebuilding a table is
@@ -308,7 +308,7 @@ def _build_h(ct, h_left, h_right, components, label, image):
 def local_table(ct, h_left, h_right):
     # the column codes and the sigma walk do rank-n work on every pair
     _check_rank_work(ct, (h_left, h_right))
-    if h_left > h_right:
+    if h_left < h_right:
         # the mirror of the module docstring: the swap's sigma, inverted;
         # a pair code of the swap is an image code here
         src, n_right = local_table(ct, h_right, h_left), len(columns(ct, h_right))
@@ -368,42 +368,46 @@ def tau(elem):
     return TensorElement(ct, tuple(column_involution(ct, c) for c in reversed(elem.factors)))
 
 
-@_PerShape
-def _transport_plan(ct, heights, step):
-    """``_transport_plan[ct, heights, step]``: the D^L (``step`` -1) or D^R
-    (``step`` +1) chains of every factor of one shape.
+class _Chains(dict):
+    """``_transport_plan[ct, heights][step]``: the D^L (``step`` -1) or D^R
+    (``step`` +1) chains of every factor of one shape, each direction built
+    when first asked for.
 
     A chain is ``(q0, step, index, records)``: its start factor, its step,
     the column index of that factor's height, and one record per met
     factor, nearest first.  A record is ``(index of the met factor's height,
     energies, moved, met stride, moving stride)``: the pair code is ``met *
     met stride + moving * moving stride``, and ``moved`` holds, by pair
-    code, the code of the moving factor after sigma.  Every chain shares the
-    one record of a height pair, so a plan holds references and no per-step
-    tuple.  The tables come first, from ``local_table``, which holds their
-    rank work to the budget; a single factor has no chain and builds
-    nothing.  A shape of more than ``PLAN_CACHE_FACTORS`` factors gets the
-    chains of the one direction asked for per call.
+    code, the code of the moving factor after sigma.  Every chain of a
+    direction shares the one record of a height pair, so a plan holds
+    references and no per-step tuple.  The records of both directions come
+    first, in one pass, from ``local_table``, which holds their rank work to
+    the budget; a single factor has no chain and builds nothing.  A shape of
+    more than ``PLAN_CACHE_FACTORS`` factors gets a plan per call, so it
+    builds the chains of the one direction asked for.
     """
-    # the chains meet the pairs (heights[a], heights[b]), a < b
-    records = {}
-    for hl, hr in dict.fromkeys(combinations(heights, 2)):
-        t, n_right = local_table(ct, hl, hr), len(columns(ct, hr))
-        # sigma's image (l', r'): D^L moves on as l', D^R as r'
-        records[hl, hr] = (
-            (_column_index(ct, hl), t.energies, t.image_left, n_right, 1) if step < 0
-            else (_column_index(ct, hr), t.energies, t.image_right, 1, n_right)
+
+    def __init__(self, ct, heights):
+        self.ct, self.heights, self.records = ct, heights, {}
+        # the chains meet the pairs (heights[a], heights[b]), a < b
+        for hl, hr in dict.fromkeys(combinations(heights, 2)):
+            t, n_right = local_table(ct, hl, hr), len(columns(ct, hr))
+            # keyed (step, met height, moving height); sigma's image is
+            # (l', r'): D^L moves on as l', D^R as r'
+            self.records[-1, hl, hr] = (_column_index(ct, hl), t.energies, t.image_left, n_right, 1)
+            self.records[1, hr, hl] = (_column_index(ct, hr), t.energies, t.image_right, 1, n_right)
+
+    def __missing__(self, step):
+        heights = self.heights
+        chains = self[step] = tuple(
+            (q0, step, _column_index(self.ct, h),
+             tuple(map(self.records.get, zip(repeat(step), heights[q0 + step::step], repeat(h)))))
+            for q0, h in enumerate(heights) if 0 <= q0 + step < len(heights)
         )
-    if step < 0:
-        return tuple(
-            (q0, -1, _column_index(ct, h),
-             tuple(map(records.get, zip(heights[q0 - 1::-1], repeat(h)))))
-            for q0, h in enumerate(heights[1:], 1)
-        )
-    return tuple(
-        (q0, 1, _column_index(ct, h), tuple(map(records.get, zip(repeat(h), heights[q0 + 1:]))))
-        for q0, h in enumerate(heights[:-1])
-    )
+        return chains
+
+
+_transport_plan = _PerShape(_Chains)
 
 
 def _chain_sum(chains, factors, terms=None):
@@ -433,13 +437,13 @@ def _chain_sum(chains, factors, terms=None):
 def energy_DL(elem):
     """Left energy: transport each factor leftward and sum local energies."""
     factors = elem.factors
-    return _chain_sum(_transport_plan[elem.cartan, tuple(map(len, factors)), -1], factors)
+    return _chain_sum(_transport_plan[elem.cartan, tuple(map(len, factors))][-1], factors)
 
 
 def energy_DR(elem):
     """Right energy: transport each factor rightward and sum local energies."""
     factors = elem.factors
-    return _chain_sum(_transport_plan[elem.cartan, tuple(map(len, factors)), 1], factors)
+    return _chain_sum(_transport_plan[elem.cartan, tuple(map(len, factors))][1], factors)
 
 
 @dataclass(frozen=True)
@@ -460,8 +464,8 @@ class EnergyReport:
 def energy_report(elem):
     factors = elem.factors
     n = len(factors)
-    ct, heights = elem.cartan, elem.heights
-    left, right = _transport_plan[ct, heights, -1], _transport_plan[ct, heights, 1]
+    plan = _transport_plan[elem.cartan, elem.heights]
+    left, right = plan[-1], plan[1]
     left_h, right_h = [], []
     d_left, d_right = _chain_sum(left, factors, left_h), _chain_sum(right, factors, right_h)
     # the terms come chain by chain, each nearest first

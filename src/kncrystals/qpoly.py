@@ -163,7 +163,7 @@ class _PrefixScan:
         self.plan = _coded_plan(ct, heights)
         self.spill = {}
         # the D^L chains, fetched once; node p runs the one that starts at p
-        self.chains = _transport_plan[ct, heights, -1] if energy else None
+        self.chains = _transport_plan[ct, heights][-1] if energy else None
         self.factors = [None] * len(heights)
         self.last = len(heights) - 1
 

@@ -222,7 +222,28 @@ def test_arm_table_from_suffix_counts_equals_the_rescan():
         heights = shape_heights(ct, mu)
         # the filling's columns: both split halves of each factor in type C
         filling = circ_ord(TensorElement(ct, tuple(columns(ct, h)[0] for h in heights)))
-        assert charge_module._arm_table[ct, heights] == _arms_by_rescan(filling.heights)
+        assert charge_module._arm_table[ct, filling.heights] == _arms_by_rescan(filling.heights)
+
+
+def test_a_long_filling_builds_its_arm_table_once(monkeypatch):
+    A3 = CartanType("A", 3)
+    rng = random.Random(70)
+    heights = (2,) * 35 + (1,) * 35  # more than PLAN_CACHE_FACTORS columns
+    b = TensorElement(A3, tuple(rng.choice(columns(A3, h)) for h in heights))
+    expected, filling = charge(b), circ_ord(b)
+    table, builds = charge_module._arm_table, []
+    real = table.build
+
+    def build(ct, heights):
+        builds.append(heights)
+        return real(ct, heights)
+
+    monkeypatch.setattr(table, "build", build)
+    arms = [filling.arm(i, j) for i, j in filling.descents()]
+    assert len(arms) > 1 and builds == [heights]
+    rescan = _arms_by_rescan(heights)
+    assert arms == [rescan[j][i] for i, j in filling.descents()]
+    assert sum(arms) == expected
 
 
 def test_key_pass_equals_the_filling_route():

@@ -174,8 +174,8 @@ MIRRORED = [
     (CartanType(family, n), hl, hr)
     for family, ns in (("A", (3, 4, 5)), ("C", (2, 3, 4)))
     for n in ns
-    for hl, hr in itertools.combinations(range(CartanType(family, n).max_height, 0, -1), 2)
-] + [(CartanType("C", 5), 5, 4)]
+    for hl, hr in itertools.combinations(range(1, CartanType(family, n).max_height + 1), 2)
+] + [(CartanType("C", 5), 4, 5)]
 
 
 def test_mirrored_tables_equal_the_walk():
@@ -203,14 +203,14 @@ def test_either_order_first_builds_the_same_tables():
 
 
 def test_a_repeated_image_code_fails_the_mirror(monkeypatch):
-    source = local_table(C3, 2, 3)
+    source = local_table(C3, 3, 2)
     image_left, image_right = array("B", source.image_left), array("B", source.image_right)
-    # pair 1 gets the image of pair 0, so some pair of (3, 2) maps to no pair
+    # pair 1 gets the image of pair 0, so some pair of (2, 3) maps to no pair
     image_left[1], image_right[1] = image_left[0], image_right[0]
     patched = dataclasses.replace(source, image_left=image_left, image_right=image_right)
     monkeypatch.setattr(energy_module, "local_table", lambda ct, hl, hr: patched)
     with pytest.raises(NoMatchingComponent, match="not a bijection"):
-        local_table.__wrapped__(C3, 3, 2)
+        local_table.__wrapped__(C3, 2, 3)
 
 
 def _reference_terms(b):
@@ -250,21 +250,22 @@ def test_coded_transport_matches_the_pair_maps():
 
 
 def test_a_long_energy_dl_builds_no_right_chain(monkeypatch):
-    plan, steps = energy_module._transport_plan, []
+    plan, plans = energy_module._transport_plan, []
     real = plan.build
 
-    def build(ct, heights, step):
-        steps.append(step)
-        return real(ct, heights, step)
+    def build(ct, heights):
+        plans.append(real(ct, heights))
+        return plans[-1]
 
     monkeypatch.setattr(plan, "build", build)
     A3 = CartanType("A", 3)
     rng = random.Random(65)
     b = TensorElement(A3, tuple(rng.choice(columns(A3, 1)) for _ in range(PLAN_CACHE_FACTORS + 1)))
     assert energy_DL(b) == -charge(b)
-    assert steps == [-1]
+    # the plan's built directions are its keys
+    assert [list(p) for p in plans] == [[-1]]
     report = energy_report(b)
-    assert steps == [-1, -1, 1]  # a long shape's chains are not kept
+    assert [list(p) for p in plans] == [[-1], [-1, 1]]  # a long shape's plan is not kept
     assert report.d_left == energy_DL(b) and report.d_right == energy_DR(b)
 
 
