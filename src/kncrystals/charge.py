@@ -22,14 +22,16 @@ in closed form.
 
 A step depends only on the key column produced before it and the factor's
 column, so ``charge`` and the prefix scan of :mod:`kncrystals.qpoly` read
-it from process-wide int arrays, one per ``(ct, h_prev, h)``, at ``(prev
-code + 1) * |columns(ct, h)| + column code`` (-1 where none is stored).  A
-column's code is its place in ``columns(ct, h)``; a produced key column (in
-row order, so not a column) gets one on first sight from a registry per
-``(ct, h)``, and the first factor's prev code is -1.  An entry holds the
-next code above a bitmask of the descent rows, whose arms depend on the
-position and are summed per shape.  A miss runs the plain step; a step that
-raises is never stored, and a table stops at ``STEP_TABLE_CAP`` slots.
+it from process-wide records, one per ``(ct, h_prev, h)``, kept in
+``_STORE``, in int arrays at ``(prev code + 1) * |columns(ct, h)| + column
+code`` (-1 where none is stored).  A column's code is its place in
+``columns(ct, h)``; a produced key column (in row order, so not a column)
+gets one on first sight from a registry per ``(ct, h)``, and the first
+factor's prev code is -1.  An entry holds the next code above a bitmask of
+the descent rows.  A miss runs the plain step; a step that raises is never
+stored, and a table stops at ``STEP_TABLE_CAP`` slots.  No arm needs the
+shape: a descent in row r at factor p has the arm ``#{q >= p : h_q >= r}``
+(in type C, the split filling's doubled arm halved back).
 
 Both routes require the column heights to be weakly decreasing left to right;
 callers holding an unsorted element can reorder it with
@@ -39,28 +41,24 @@ callers holding an unsorted element can reorder it with
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import repeat
-from operator import lt
+from operator import lt, neg
 
-from .core import _PerShape, _check_rank_work, _column_index, split_column
-from .errors import (
-    HeightsNotSorted,
-    NotPartitionContent,
-    OddArmSum,
-    ShapeTooLarge,
-)
+from .core import _check_rank_work, _column_index, split_column
+from .errors import HeightsNotSorted, NotPartitionContent, OddArmSum, ShapeTooLarge
 
 #: Slots per step table; a step whose slot lies past it is not stored, and a
 #: produced key column it meets for the first time gets no code.
 STEP_TABLE_CAP = 1 << 16
 _SPILL = 1 << 40  # codes from here on: key columns that got none, per caller
 
-# (ct, h_prev, h) -> array of entries by key, -1 where no step is stored yet
-_STEP_TABLES = {}
-_KEY_CODES = {}  # (ct, h) -> ([produced key column by code], {key column: code})
+#: Bits of a field of the packed prefix counts.  A field counts at most one
+#: descent per cell of the element, so 48 bits hold any element in memory.
+_FIELD = 48
+_FIELD_MASK = (1 << _FIELD) - 1
 
 
 def _require_sorted(heights):
@@ -154,26 +152,10 @@ class CircFilling:
         return self.descent_cells
 
     def arm(self, row, col):
-        return self._arms[col][row]
-
-    @cached_property
-    def _arms(self):
-        # once per filling: a long shape's table is not kept per shape
-        return _arm_table[self.cartan, self.heights]
-
-
-@_PerShape
-def _arm_table(ct, heights):
-    """``_arm_table[ct, heights]``: ``table[col][row]``, the cells in ``row``
-    from column ``col`` (0-based) on of a filling whose columns have the
-    ``heights``, split halves and all.  Built from the right by suffix counts.
-    """
-    count, table = [0] * (max(heights) + 1), []
-    for h in reversed(heights):
-        for row in range(h + 1):
-            count[row] += 1
-        table.append(tuple(count))
-    return tuple(reversed(table))
+        """The cells in ``row`` from column ``col`` (0-based) on: ``L_row - col``
+        where positive, ``L_row`` being the columns of height at least ``row``
+        (the heights weakly decrease)."""
+        return max(0, bisect_right(self.heights, -row, key=neg) - col)
 
 
 @lru_cache(maxsize=None)
@@ -217,13 +199,6 @@ def _circ_step(ct, prev, col):
     return produced, cells
 
 
-def _halve(arms, halves, where):
-    """The charge from an arm sum over ``halves`` columns per factor."""
-    if arms % halves:
-        raise OddArmSum(f"odd descent arm sum {arms} at {where}")
-    return arms // halves
-
-
 def circ_ord(elem):
     """Reorder a filling column by column against the circular order.
 
@@ -254,65 +229,83 @@ def circ_ord(elem):
 
 
 def charge_from_filling(filling):
-    arm = filling._arms
-    arms = sum(arm[j][i] for i, j in filling.descents())
-    return _halve(arms, 2 if filling.doubled else 1, filling.cols)
+    arms = sum(filling.arm(row, col) for row, col in filling.descents())
+    if filling.doubled and arms % 2:
+        raise OddArmSum(f"odd descent arm sum {arms} at {filling.cols}")
+    return arms // 2 if filling.doubled else arms
 
 
-class _ArmSums(dict):
-    """Descent rows (a bitmask) -> their arm sum at one position, filled on first sight."""
+class _Increments(dict):
+    """Descent rows (a bitmask) -> their update of the packed prefix counts at
+    a height-``h`` step: one in field ``r`` for each of the rows ``<= r``."""
 
-    def __init__(self, arm):
-        self.arm = arm
+    def __init__(self, h):
+        self.h = h
 
     def __missing__(self, rows):
-        total = self[rows] = sum(a for row, a in enumerate(self.arm) if rows >> row & 1)
-        return total
+        inc = self[rows] = sum(
+            (rows & (2 << r) - 1).bit_count() << _FIELD * (r - 1) for r in range(1, self.h + 1)
+        )
+        return inc
 
 
-def _coded_plan(ct, heights):
-    """Per factor: (column index, column count, step table, shift, mask, arm
-    sums, key columns, key codes), the last two its height's registry.  An
-    entry ``e`` holds the next code ``e >> shift`` and the rows ``e & mask``.
+def _record(ct, h_prev, h):
+    """``(column index, column count, step table, shift, mask, increments, read,
+    successors, registries)`` of a height-``h`` factor's steps after a height-``h_prev``
+    one.  An entry ``e`` holds the next code ``e >> shift`` and the descent rows
+    ``e & mask``; field ``h`` of the packed prefix counts is at bit ``read``; the
+    registries are height ``h_prev``'s key columns and height ``h``'s key columns
+    and codes; and ``successors[h_next]`` is the next record, once linked.
     """
-    halves = 2 if ct.family == "C" else 1
-    arm = _arm_table[ct, tuple(h for h in heights for _ in range(halves))]
-    plan = []
-    for p, (h_prev, h) in enumerate(zip(heights[:1] + heights, heights)):
-        index = _column_index(ct, h)
-        plan.append((index, len(index), _STEP_TABLES.setdefault((ct, h_prev, h), array("i")),
-                     h + 1, (2 << h) - 1, _ArmSums(arm[p * halves]),
-                     *_KEY_CODES.setdefault((ct, h), ([], {}))))
-    return plan
+    rec = _STORE.get((ct, h_prev, h))
+    if rec is None:
+        index, (keys, codes) = _column_index(ct, h), _STORE.setdefault((ct, h), ([], {}))
+        prev_keys = _STORE.setdefault((ct, h_prev), ([], {}))[0]
+        rec = _STORE[ct, h_prev, h] = (
+            index, len(index), array("i"), h + 1, (2 << h) - 1, _Increments(h),
+            _FIELD * (h - 1), [None] * (h + 1), (prev_keys, keys, codes),
+        )
+    return rec
 
 
-@_PerShape
-def _charge_plan(ct, heights):
-    """``_charge_plan[ct, heights]``: ``_coded_plan``, or None if a table's
-    rank work is over the budget.
-
-    An unsorted shape raises ``HeightsNotSorted`` here, so it is never
-    cached and raises on every call.  Each table's pair of heights is
-    checked as ``local_table`` checks its own.
-    """
-    _require_sorted(heights)
-    try:
-        for pair in zip(heights[:1] + heights, heights):
-            _check_rank_work(ct, pair)
-    except ShapeTooLarge:
-        return None
-    return _coded_plan(ct, heights)
+def _link(ct, successors, h_prev, h):
+    """``successors[h]``, the record after a height-``h_prev`` factor, linked if its
+    rank work is within the budget; else ``ShapeTooLarge`` sends charge to ``circ_ord``."""
+    _check_rank_work(ct, (h_prev, h))
+    rec = successors[h] = _record(ct, h_prev, h)
+    return rec
 
 
-def _step_miss(ct, rec, prev_keys, code, col, spill):
+class _Firsts(dict):
+    """A type's first records by height: a first factor steps as after its own height."""
+
+    def __init__(self, ct):
+        self.ct = ct
+
+    def __missing__(self, h):
+        return _link(self.ct, self, h, h)
+
+
+class _Store(dict):
+    """``[ct]``: a type's ``_Firsts``; ``[ct, h_prev, h]``: a record; ``[ct, h]``: a registry."""
+
+    def __missing__(self, ct):
+        firsts = self[ct] = _Firsts(ct)
+        return firsts
+
+
+_STORE = _Store()  # one clear() drops every record, table and registry
+
+
+def _step_miss(ct, rec, code, col, spill):
     """The entry of a step its table lacks: the plain step, stored if its row fits the cap.
 
     ``code`` is -1 before the first factor, else the previous key column's
-    place in ``prev_keys``, or from ``_SPILL`` on for one that got no code
-    past a full table: ``spill``, the caller's, maps such codes and key
-    columns both ways.  A table grows by whole rows of ``n`` slots.
+    place in the record's previous key columns, or from ``_SPILL`` on for one
+    that got no code past a full table: ``spill``, the caller's, maps such
+    codes and key columns both ways.  A table grows by whole rows of ``n`` slots.
     """
-    index, n, table, shift, _, _, keys, codes = rec
+    index, n, table, shift, _, _, _, _, (prev_keys, keys, codes) = rec
     prev = None if code < 0 else prev_keys[code] if code < _SPILL else spill[code]
     produced, cells = _circ_step(ct, prev, col)
     key, end = produced[-1], (code + 2) * n
@@ -333,24 +326,31 @@ def _step_miss(ct, rec, prev_keys, code, col, spill):
 def charge(elem):
     """The charge statistic; equal to minus the energy D.
 
-    One pass over the factors that reads each step from the step tables and
-    adds up the descent arms, with no filling built.  Over the rank budget
-    it takes the plain route of ``circ_ord``, which builds no column index.
+    One pass along the records' successor links, with nothing kept per shape.
+    Summing each descent's arm over the factors it reaches, the charge is the
+    sum over q of the descents in rows ``<= h_q`` among factors 0 to q: field
+    ``h_q`` of the packed prefix counts.  Over the rank budget it takes the
+    plain route of ``circ_ord``, which builds no column index.
     """
     ct, factors = elem.cartan, elem.factors
-    plan = _charge_plan[ct, tuple(map(len, factors))]
-    if plan is None:
+    succ, code, spill, counts, total = _STORE[ct], -1, {}, 0, 0
+    try:
+        for col in factors:
+            rec = succ[len(col)] or _link(ct, succ, len(succ) - 1, len(col))
+            index, n, table, shift, mask, inc, read, succ, _ = rec
+            key = (code + 1) * n + index[col]
+            entry = table[key] if key < len(table) else -1
+            if entry < 0:
+                entry = _step_miss(ct, rec, code, col, spill)
+            code = entry >> shift
+            counts += inc[entry & mask]
+            total += counts >> read & _FIELD_MASK
+    except IndexError:
+        _require_sorted(tuple(map(len, factors)))  # a taller factor ran off ``succ``
+        raise
+    except ShapeTooLarge:
         return charge_from_filling(circ_ord(elem))
-    code, keys, spill, arms = -1, None, {}, 0
-    for rec, col in zip(plan, factors):
-        index, n, table, shift, mask, sums, next_keys, _ = rec
-        key = (code + 1) * n + index[col]
-        entry = table[key] if key < len(table) else -1
-        if entry < 0:
-            entry = _step_miss(ct, rec, keys, code, col, spill)
-        code, keys = entry >> shift, next_keys
-        arms += sums[entry & mask]
-    return _halve(arms, 2, factors) if ct.family == "C" else arms
+    return total
 
 
 def _selection_charge(word, paired):

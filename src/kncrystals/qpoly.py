@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import add
 
-from .charge import _coded_plan, _halve, _require_sorted, _step_miss, charge
+from .charge import _FIELD_MASK, _record, _require_sorted, _step_miss, charge
 from .core import (
     VERTEX_BUDGET,
     TensorElement,
@@ -158,34 +158,33 @@ class _PrefixScan:
         self.pools = [
             [(col, column_content(ct, col)) for col in columns(ct, h)] for h in heights
         ]
-        self.halves = 2 if ct.family == "C" else 1
-        # charge's step tables, for the whole scan: the budget was checked
-        self.plan = _coded_plan(ct, heights)
+        # charge's records, one per position: the budget was checked
+        self.records = [_record(ct, *pair) for pair in zip(heights[:1] + heights, heights)]
         self.spill = {}
         # the D^L chains, fetched once; node p runs the one that starts at p
         self.chains = _transport_plan[ct, heights][-1] if energy else None
         self.factors = [None] * len(heights)
         self.last = len(heights) - 1
 
-    def walk(self, p, code, arms, dl, wt):
+    def walk(self, p, code, counts, total, dl, wt):
         """The vertices below the node that holds factors 0 to p - 1."""
-        ct, factors, halves, chains = self.ct, self.factors, self.halves, self.chains
-        rec = self.plan[p]
-        _, n, table, shift, mask, sums, _, _ = rec
-        keys = self.plan[p - 1][6] if p else None
+        ct, factors, chains = self.ct, self.factors, self.chains
+        rec = self.records[p]
+        _, n, table, shift, mask, inc, read, _, _ = rec
         base = (code + 1) * n
         for c, (col, content) in enumerate(self.pools[p]):
             entry = table[base + c] if base + c < len(table) else -1
             if entry < 0:
-                entry = _step_miss(ct, rec, keys, code, col, self.spill)
+                entry = _step_miss(ct, rec, code, col, self.spill)
             factors[p] = col
             d = dl + _chain_sum(chains[p - 1:p], factors) if chains is not None else None
             w = tuple(map(add, wt, content))
-            a = arms + sums[entry & mask]
+            s = counts + inc[entry & mask]
+            t = total + (s >> read & _FIELD_MASK)
             if p < self.last:
-                yield from self.walk(p + 1, entry >> shift, a, d, w)
+                yield from self.walk(p + 1, entry >> shift, s, t, d, w)
             else:
-                yield tuple(factors), _halve(a, halves, factors), d, w
+                yield tuple(factors), t, d, w
 
 
 def _prefix_scan(ct, heights, _energy=True):
@@ -194,18 +193,19 @@ def _prefix_scan(ct, heights, _energy=True):
     A depth-first walk over ``columns(ct, h_1) x ... x columns(ct, h_N)``
     that adds one factor at a time, so the work on a prefix is shared by
     every vertex below it.  A node carries the code of the last key column
-    produced by the circular reordering, the descent arm sum, D^L and the
-    weight of the prefix.  Adding factor p reads charge's step table (the
-    one ``charge`` reads, keyed by that code and the column's position in
-    its pool) and adds the one D^L chain that starts at p, read from the
-    shape's transport plan, which the scan fetches once.  Charge and D^L
-    stay the independent routes of ``charge`` and ``energy_DL``.
+    produced by the circular reordering, the packed prefix counts and the
+    charge, D^L and the weight of the prefix.  Adding factor p reads the
+    step table of charge's record for p (keyed by that code and the
+    column's position in its pool), updates the counts as ``charge`` does,
+    and adds the one D^L chain that starts at p, read from the shape's
+    transport plan, which the scan fetches once.  Charge and D^L stay the
+    independent routes of ``charge`` and ``energy_DL``.
 
     Returns an iterator of ``(factors, charge, D^L, weight)`` in product
     order; with ``_energy`` false no D^L chain runs and D^L reads None.
     """
     scan = _PrefixScan(ct, tuple(heights), _energy)
-    return scan.walk(0, -1, 0, 0 if _energy else None, (0,) * ct.n)
+    return scan.walk(0, -1, 0, 0, 0 if _energy else None, (0,) * ct.n)
 
 
 def macdonald_p_q0(ct, mu, budget=None):

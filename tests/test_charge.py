@@ -1,8 +1,10 @@
 import random
+import tracemalloc
 from importlib import import_module
+from itertools import cycle, islice
 
 import pytest
-from util import clear_step_tables, theorem_shapes
+from util import clear_step_tables, key_registries, step_tables, theorem_shapes
 
 from kncrystals import (
     CartanType,
@@ -14,6 +16,7 @@ from kncrystals import (
     columns,
     e,
     element,
+    energy_DL,
     eps,
     f,
     iter_tensor_elements,
@@ -196,12 +199,12 @@ def test_charge_drops_across_zero_raising():
 
 def test_heights_must_be_sorted():
     b = element(C3, [(1,), (1, 2)])
-    # the shape's plan raises while it is built, so no plan is kept and the
-    # second call raises too
+    # the taller factor runs off the successors of the height-1 record, so
+    # no record is stored for the pair and the second call raises too
     for _ in range(2):
-        with pytest.raises(HeightsNotSorted):
+        with pytest.raises(HeightsNotSorted, match=r"heights \(1, 2\) are not weakly"):
             charge(b)
-    assert (C3, b.heights) not in charge_module._charge_plan
+    assert (C3, 1, 2) not in charge_module._STORE
     with pytest.raises(HeightsNotSorted):
         charge_word(b)
     with pytest.raises(HeightsNotSorted):
@@ -222,28 +225,25 @@ def test_arm_table_from_suffix_counts_equals_the_rescan():
         heights = shape_heights(ct, mu)
         # the filling's columns: both split halves of each factor in type C
         filling = circ_ord(TensorElement(ct, tuple(columns(ct, h)[0] for h in heights)))
-        assert charge_module._arm_table[ct, filling.heights] == _arms_by_rescan(filling.heights)
+        rescan = _arms_by_rescan(filling.heights)
+        assert tuple(
+            tuple(filling.arm(row, col) for row in range(len(arms)))
+            for col, arms in enumerate(rescan)
+        ) == rescan
 
 
-def test_a_long_filling_builds_its_arm_table_once(monkeypatch):
+def test_a_long_filling_reads_its_arms_in_closed_form():
+    # more than 64 columns, where a per-shape table used to be rebuilt per call
     A3 = CartanType("A", 3)
     rng = random.Random(70)
-    heights = (2,) * 35 + (1,) * 35  # more than PLAN_CACHE_FACTORS columns
+    heights = (2,) * 35 + (1,) * 35
     b = TensorElement(A3, tuple(rng.choice(columns(A3, h)) for h in heights))
     expected, filling = charge(b), circ_ord(b)
-    table, builds = charge_module._arm_table, []
-    real = table.build
-
-    def build(ct, heights):
-        builds.append(heights)
-        return real(ct, heights)
-
-    monkeypatch.setattr(table, "build", build)
     arms = [filling.arm(i, j) for i, j in filling.descents()]
-    assert len(arms) > 1 and builds == [heights]
+    assert len(arms) > 1
     rescan = _arms_by_rescan(heights)
     assert arms == [rescan[j][i] for i, j in filling.descents()]
-    assert sum(arms) == expected
+    assert sum(arms) == expected == charge_module.charge_from_filling(filling)
 
 
 def test_key_pass_equals_the_filling_route():
@@ -314,9 +314,9 @@ def test_capped_tables_change_no_charge(fresh_tables, monkeypatch):
         # that got none in the tables
         for factors, c, _, _ in _prefix_scan(ct, heights, _energy=False):
             assert c == charge_via_selection(TensorElement(ct, factors)), factors
-    tables = charge_module._STEP_TABLES
+    tables = step_tables()
     assert tables and max(map(len, tables.values())) <= cap
-    assert sum(len(codes) for _, codes in charge_module._KEY_CODES.values()) <= cap * len(tables)
+    assert sum(len(codes) for _, codes in key_registries().values()) <= cap * len(tables)
 
 
 def test_a_raising_step_is_never_stored(fresh_tables, monkeypatch):
@@ -325,11 +325,71 @@ def test_a_raising_step_is_never_stored(fresh_tables, monkeypatch):
     for _ in range(2):
         with pytest.raises(OddArmSum, match="inside the split pair"):
             charge(b)
-    assert not any(charge_module._STEP_TABLES.values())  # no slot was even made
+    assert not any(step_tables().values())  # no slot was even made
 
 
 def test_charge_over_the_rank_budget_builds_no_column_index(fresh_tables):
     big = CartanType("A", 10**7)
     b = element(big, [(2, 3), (1,)])
-    assert charge(b) == charge_via_selection(b)
-    assert not charge_module._STEP_TABLES and not charge_module._KEY_CODES
+    tracemalloc.start()
+    try:
+        c = charge(b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c == charge_via_selection(b)
+    assert peak < 256 * 1024  # nothing sized by the rank
+    assert not step_tables() and not key_registries()
+    # the first factor's record was over the budget, so none was linked
+    assert dict(charge_module._STORE[big]) == {}
+
+
+def _long_elements(ct, pattern, length, seed):
+    """A random element of ``length`` factors, its heights ``pattern`` cycled and sorted."""
+    heights = sorted(islice(cycle(pattern), length), reverse=True)
+    rng = random.Random(seed)
+    return TensorElement(ct, tuple(rng.choice(columns(ct, h)) for h in heights))
+
+
+LONG = [(CartanType("A", 3), (1,)), (C3, (3, 2, 2, 1, 1))]
+
+
+@pytest.mark.parametrize("length", [65, 256, 2048])
+@pytest.mark.parametrize("ct, pattern", LONG)
+def test_long_charge_matches_selection_and_energy(ct, pattern, length):
+    b = _long_elements(ct, pattern, length, seed=length)
+    assert charge(b) == charge_via_selection(b) == -energy_DL(b)
+
+
+@pytest.mark.parametrize("ct, pattern", LONG)
+def test_a_warm_long_charge_builds_nothing(monkeypatch, ct, pattern):
+    b = _long_elements(ct, pattern, 300, seed=16)
+    want = charge(b)
+
+    def fail(*args):
+        raise AssertionError("charge built a record or ran a step")
+
+    for name in ("_record", "_link", "_step_miss"):
+        monkeypatch.setattr(charge_module, name, fail)
+    assert charge(b) == want
+
+
+def test_a_product_with_no_factors_has_charge_zero():
+    for ct in (C3, A5):
+        assert charge(TensorElement(ct, ())) == 0
+
+
+def test_clearing_the_store_drops_every_record(fresh_tables):
+    # a record kept past the clear would keep writing into a table the
+    # store no longer holds, and the scan would fill another
+    ct, heights = C3, (2, 2, 1)
+    elements = list(iter_tensor_elements(ct, heights))
+    for b in elements:
+        charge(b)
+    clear_step_tables()
+    assert not charge_module._STORE
+    scanned = _prefix_scan(ct, heights, _energy=False)
+    for (factors, c, _, _), b in zip(scanned, elements, strict=True):
+        assert factors == b.factors and c == charge(b) == charge_via_selection(b), b
+    # charge's links lead to the records the scan built
+    assert charge_module._STORE[ct][2] is charge_module._STORE[ct, 2, 2]

@@ -5,7 +5,7 @@ from array import array
 from importlib import import_module
 
 import pytest
-from util import clear_step_tables, theorem_shapes
+from util import clear_step_tables, step_tables, theorem_shapes
 
 import kncrystals.qpoly as qpoly_module
 from kncrystals import (
@@ -106,7 +106,7 @@ def test_an_altered_step_table_entry_fails_the_theorem_suite():
         assert run_verify(ct, heights, suites=("theorem",)).suites["theorem"]["passed"]
         # the first factor's step from the generator column: a descent at
         # row 1 adds that row's arm to the charge of every vertex below it
-        table = charge_module._STEP_TABLES[ct, 2, 2]
+        table = step_tables()[ct, 2, 2]
         table[0] |= 1 << 1
         report = run_verify(ct, heights, suites=("theorem",))
         assert not report.suites["theorem"]["passed"]

@@ -9,14 +9,30 @@ charge_module = import_module("kncrystals.charge")
 
 
 def clear_step_tables():
-    """Forget charge's step tables, key column registries and cached plans.
+    """Forget charge's records, with their step tables and key column registries.
 
     A test that patches the plain circular step clears them first, or a
     table warmed by an earlier test would answer in its place.
     """
-    charge_module._STEP_TABLES.clear()
-    charge_module._KEY_CODES.clear()
-    charge_module._charge_plan.clear()
+    charge_module._STORE.clear()
+
+
+def _stored(size):
+    return {
+        key: value
+        for key, value in charge_module._STORE.items()
+        if isinstance(key, tuple) and len(key) == size
+    }
+
+
+def step_tables():
+    """Charge's step tables by ``(ct, h_prev, h)``, read off its records."""
+    return {key: rec[2] for key, rec in _stored(3).items()}
+
+
+def key_registries():
+    """Charge's key column registries by ``(ct, h)``."""
+    return _stored(2)
 
 
 def partitions_of(total, maxpart=None):
