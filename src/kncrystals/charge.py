@@ -277,7 +277,7 @@ def _link(ct, successors, h_prev, h):
 
 
 class _Firsts(dict):
-    """A type's first records by height: a first factor steps as after its own height."""
+    """A type's first records by height: the record after a factor of the same height."""
 
     def __init__(self, ct):
         self.ct = ct

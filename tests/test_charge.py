@@ -344,7 +344,7 @@ def test_charge_over_the_rank_budget_builds_no_column_index(fresh_tables):
     assert dict(charge_module._STORE[big]) == {}
 
 
-def _long_elements(ct, pattern, length, seed):
+def _long_element(ct, pattern, length, seed):
     """A random element of ``length`` factors, its heights ``pattern`` cycled and sorted."""
     heights = sorted(islice(cycle(pattern), length), reverse=True)
     rng = random.Random(seed)
@@ -357,13 +357,13 @@ LONG = [(CartanType("A", 3), (1,)), (C3, (3, 2, 2, 1, 1))]
 @pytest.mark.parametrize("length", [65, 256, 2048])
 @pytest.mark.parametrize("ct, pattern", LONG)
 def test_long_charge_matches_selection_and_energy(ct, pattern, length):
-    b = _long_elements(ct, pattern, length, seed=length)
+    b = _long_element(ct, pattern, length, seed=length)
     assert charge(b) == charge_via_selection(b) == -energy_DL(b)
 
 
 @pytest.mark.parametrize("ct, pattern", LONG)
 def test_a_warm_long_charge_builds_nothing(monkeypatch, ct, pattern):
-    b = _long_elements(ct, pattern, 300, seed=16)
+    b = _long_element(ct, pattern, 300, seed=16)
     want = charge(b)
 
     def fail(*args):
