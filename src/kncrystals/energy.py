@@ -34,11 +34,11 @@ idempotent.
 Global energies follow the pair-transport sums; factor 1 is the rightmost
 tensor factor.  D := D^L, so the main identity reads D(b) = -charge(b) and
 all D values on a product of generators vanish.  One loop sums both: it
-reads a per-shape plan of column indices and table arrays, one lookup per
-element and none per step, where a D^L and a D^R step differ only in the
-strides that order the pair code and in which half of sigma's image the
-moving factor keeps.  The moving factor travels as its code, so no pair of
-columns is built.
+reads rows shared per (type, direction), one lookup per chain and one per
+step, and keeps nothing per shape, so a step costs the same at any length.
+A D^L and a D^R step differ only in the strides that order the pair code
+and in which half of sigma's image the moving factor keeps.  The moving
+factor travels as its code, so no pair of columns is built.
 """
 
 from __future__ import annotations
@@ -48,14 +48,13 @@ from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product, repeat
+from itertools import product
 
 from .core import (
     DEMAZURE_LEVEL,
     TensorElement,
     _check_rank_work,
     _column_index,
-    _PerShape,
     column_content,
     column_e,
     column_eps_phi,
@@ -368,64 +367,85 @@ def tau(elem):
     return TensorElement(ct, tuple(column_involution(ct, c) for c in reversed(elem.factors)))
 
 
-class _Chains(dict):
-    """``_transport_plan[ct, heights][step]``: the D^L (``step`` -1) or D^R
-    (``step`` +1) chains of every factor of one shape, each direction built
-    when first asked for.
+class _Rows(dict):
+    """``_ROWS[ct, step]``: ``(ct, step, movers)``, the rows of the D^L
+    (``step`` -1) or D^R (``step`` +1) transports of a type.
 
-    A chain is ``(q0, step, index, records)``: its start factor, its step,
-    the column index of that factor's height, and one record per met
-    factor, nearest first.  A record is ``(index of the met factor's height,
-    energies, moved, met stride, moving stride)``: the pair code is ``met *
-    met stride + moving * moving stride``, and ``moved`` holds, by pair
-    code, the code of the moving factor after sigma.  Every chain of a
-    direction shares the one record of a height pair, so a plan holds
-    references and no per-step tuple.  The records of both directions come
-    first, in one pass, from ``local_table``, which holds their rank work to
-    the budget; a single factor has no chain and builds nothing.  A shape of
-    more than ``PLAN_CACHE_FACTORS`` factors gets a plan per call, so it
-    builds the chains of the one direction asked for.
+    ``movers`` maps a moving column to its code and its height's row, and a
+    row maps a met column to ``(met offset, energies, moved, moving
+    stride)``: the pair code is ``met offset + moving * moving stride``, and
+    ``moved`` holds, by pair code, the code of the moving factor after
+    sigma.  Both are plain dicts, filled a whole height at a time on a miss.
     """
 
-    def __init__(self, ct, heights):
-        self.ct, self.heights, self.records = ct, heights, {}
-        # the chains meet the pairs (heights[a], heights[b]), a < b
-        for hl, hr in dict.fromkeys(combinations(heights, 2)):
-            t, n_right = local_table(ct, hl, hr), len(columns(ct, hr))
-            # keyed (step, met height, moving height); sigma's image is
-            # (l', r'): D^L moves on as l', D^R as r'
-            self.records[-1, hl, hr] = (_column_index(ct, hl), t.energies, t.image_left, n_right, 1)
-            self.records[1, hr, hl] = (_column_index(ct, hr), t.energies, t.image_right, 1, n_right)
-
-    def __missing__(self, step):
-        heights = self.heights
-        chains = self[step] = tuple(
-            (q0, step, _column_index(self.ct, h),
-             tuple(map(self.records.get, zip(repeat(step), heights[q0 + step::step], repeat(h)))))
-            for q0, h in enumerate(heights) if 0 <= q0 + step < len(heights)
-        )
-        return chains
+    def __missing__(self, key):
+        rows = self[key] = key + ({},)
+        return rows
 
 
-_transport_plan = _PerShape(_Chains)
+_ROWS = _Rows()
 
 
-def _chain_sum(chains, factors, terms=None):
-    """The summed local energies of a run of chains of a transport plan.
+def _checked_index(ct, col, *pair):
+    """The column index of ``col``'s height, after the rank work of ``pair``
+    is held to the budget; ``KeyError`` if ``col`` is not among its columns."""
+    _check_rank_work(ct, pair)  # before any column index is built
+    index = _column_index(ct, len(col))
+    if col not in index:
+        raise KeyError(col)
+    return index
 
-    Factors are indexed left to right from 0.  The D^L chain of factor
-    ``q0`` transports it leftward by the R-matrix past ``factors[q0 - 1],
-    ..., factors[0]``, so it reads only ``factors[: q0 + 1]``; the D^R chain
-    transports it rightward past ``factors[q0 + 1], ..., factors[-1]``.  The
-    local energy of each pair a chain meets is added, nearest first, and
-    appended to ``terms`` when given.  The moving factor travels as its code.
+
+def _link(ct, movers, col):
+    """``movers[col]``, after putting in every column of ``col``'s height with
+    its code and the height's one row, empty until its first meeting."""
+    row = {}
+    movers.update((c, (k, row)) for c, k in _checked_index(ct, col, len(col)).items())
+    return movers[col]
+
+
+def _fill(ct, step, h, row, col):
+    """``row[col]`` of a moving height-``h`` factor, after putting in every
+    column of ``col``'s height from ``local_table``; called on a miss only,
+    so a factor that is not a column fills nothing and no height fills twice.
     """
+    index = _checked_index(ct, col, h, len(col))
+    # sigma's image is (l', r'): D^L meets on the left and moves on as l',
+    # D^R meets on the right and moves on as r'
+    if step < 0:
+        t, n = local_table(ct, len(col), h), len(columns(ct, h))
+        row.update((c, (k * n, t.energies, t.image_left, 1)) for c, k in index.items())
+    else:
+        t = local_table(ct, h, len(col))
+        row.update((c, (k, t.energies, t.image_right, len(index))) for c, k in index.items())
+    return row[col]
+
+
+def _chain_sum(rows, factors, starts, terms=None):
+    """The summed local energies of the chains of ``starts`` in one direction.
+
+    ``rows`` is ``_ROWS[ct, step]``.  Factors are indexed left to right from
+    0.  The D^L chain of factor ``q`` (``step`` -1, ``q >= 1``) transports it
+    leftward by the R-matrix past ``factors[q - 1], ..., factors[0]``, so it
+    reads only ``factors[: q + 1]``; the D^R chain (``step`` +1) transports
+    it rightward past ``factors[q + 1], ..., factors[-1]``.  The local
+    energy of each pair a chain meets is added, nearest first, and appended
+    to ``terms`` when given.  The moving factor travels as its code.
+    """
+    ct, step, movers = rows
     total = 0
-    for q, step, index, records in chains:
-        moving = index[factors[q]]
-        for met, energies, moved, met_stride, moving_stride in records:
-            q += step
-            p = met[factors[q]] * met_stride + moving * moving_stride
+    for q in starts:
+        col = factors[q]
+        try:
+            moving, row = movers[col]
+        except KeyError:
+            moving, row = _link(ct, movers, col)
+        for col in factors[q + step::step]:
+            try:
+                offset, energies, moved, stride = row[col]
+            except KeyError:
+                offset, energies, moved, stride = _fill(ct, step, len(factors[q]), row, col)
+            p = offset + moving * stride
             h = energies[p]
             total += h
             if terms is not None:
@@ -437,13 +457,13 @@ def _chain_sum(chains, factors, terms=None):
 def energy_DL(elem):
     """Left energy: transport each factor leftward and sum local energies."""
     factors = elem.factors
-    return _chain_sum(_transport_plan[elem.cartan, tuple(map(len, factors))][-1], factors)
+    return _chain_sum(_ROWS[elem.cartan, -1], factors, range(1, len(factors)))
 
 
 def energy_DR(elem):
     """Right energy: transport each factor rightward and sum local energies."""
     factors = elem.factors
-    return _chain_sum(_transport_plan[elem.cartan, tuple(map(len, factors))][1], factors)
+    return _chain_sum(_ROWS[elem.cartan, 1], factors, range(len(factors) - 1))
 
 
 @dataclass(frozen=True)
@@ -463,11 +483,10 @@ class EnergyReport:
 
 def energy_report(elem):
     factors = elem.factors
-    n = len(factors)
-    plan = _transport_plan[elem.cartan, elem.heights]
-    left, right = plan[-1], plan[1]
+    ct, n = elem.cartan, len(factors)
     left_h, right_h = [], []
-    d_left, d_right = _chain_sum(left, factors, left_h), _chain_sum(right, factors, right_h)
+    d_left = _chain_sum(_ROWS[ct, -1], factors, range(1, n), left_h)
+    d_right = _chain_sum(_ROWS[ct, 1], factors, range(n - 1), right_h)
     # the terms come chain by chain, each nearest first
     left_keys = ((n - q, n - q0) for q0 in range(1, n) for q in range(q0 - 1, -1, -1))
     right_keys = ((n - q0, n - q) for q0 in range(n - 1) for q in range(q0 + 1, n))

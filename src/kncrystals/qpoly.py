@@ -27,7 +27,7 @@ from .core import (
     iter_tensor_elements,
     weight,
 )
-from .energy import _chain_sum, _transport_plan, combinatorial_r, energy_DL
+from .energy import _ROWS, _chain_sum, combinatorial_r, energy_DL
 from .errors import EnergyInconsistent, ShapeTooLarge, WeightMismatch
 
 
@@ -161,14 +161,14 @@ class _PrefixScan:
         # charge's records, one per position: the budget was checked
         self.records = [_record(ct, *pair) for pair in zip(heights[:1] + heights, heights)]
         self.spill = {}
-        # the D^L chains, fetched once; node p runs the one that starts at p
-        self.chains = _transport_plan[ct, heights][-1] if energy else None
+        # the D^L rows, fetched once; node p runs the chain that starts at p
+        self.rows = _ROWS[ct, -1] if energy else None
         self.factors = [None] * len(heights)
         self.last = len(heights) - 1
 
     def walk(self, p, code, counts, total, dl, wt):
         """The vertices below the node that holds factors 0 to p - 1."""
-        ct, factors, chains = self.ct, self.factors, self.chains
+        ct, factors, rows, starts = self.ct, self.factors, self.rows, (p,) if p else ()
         rec = self.records[p]
         _, n, table, shift, mask, inc, read, _, _ = rec
         base = (code + 1) * n
@@ -177,7 +177,7 @@ class _PrefixScan:
             if entry < 0:
                 entry = _step_miss(ct, rec, code, col, self.spill)
             factors[p] = col
-            d = dl + _chain_sum(chains[p - 1:p], factors) if chains is not None else None
+            d = dl + _chain_sum(rows, factors, starts) if rows is not None else None
             w = tuple(map(add, wt, content))
             s = counts + inc[entry & mask]
             t = total + (s >> read & _FIELD_MASK)
@@ -197,9 +197,9 @@ def _prefix_scan(ct, heights, _energy=True):
     charge, D^L and the weight of the prefix.  Adding factor p reads the
     step table of charge's record for p (keyed by that code and the
     column's position in its pool), updates the counts as ``charge`` does,
-    and adds the one D^L chain that starts at p, read from the shape's
-    transport plan, which the scan fetches once.  Charge and D^L stay the
-    independent routes of ``charge`` and ``energy_DL``.
+    and adds the one D^L chain that starts at p (none at p = 0), read from
+    energy's rows of its type, which the scan fetches once.  Charge and D^L
+    stay the independent routes of ``charge`` and ``energy_DL``.
 
     Returns an iterator of ``(factors, charge, D^L, weight)`` in product
     order; with ``_energy`` false no D^L chain runs and D^L reads None.

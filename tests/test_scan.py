@@ -93,8 +93,11 @@ def test_macdonald_runs_no_energy_chain(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("a D^L chain ran")
 
+    class NoRows(dict):
+        __missing__ = fail
+
     monkeypatch.setattr(qpoly_module, "_chain_sum", fail)
-    monkeypatch.setattr(qpoly_module, "_transport_plan", fail)
+    monkeypatch.setattr(qpoly_module, "_ROWS", NoRows())
     assert macdonald_p_q0(C3, (2, 1)) == want
     assert {d for _, _, d, _ in _prefix_scan(C3, (2, 1), _energy=False)} == {None}
 

@@ -13,7 +13,7 @@ from importlib import import_module
 from pathlib import Path
 
 import pytest
-from util import theorem_shapes
+from util import clear_energy_rows, energy_rows, theorem_shapes
 
 import kncrystals
 from kncrystals import (
@@ -31,7 +31,6 @@ from kncrystals import (
     shape_heights,
     tau,
 )
-from kncrystals.core import PLAN_CACHE_FACTORS
 from kncrystals.errors import EnergyInconsistent, NoMatchingComponent
 
 energy_module = import_module("kncrystals.energy")
@@ -197,8 +196,7 @@ def test_either_order_first_builds_the_same_tables():
             local_table.cache_clear()
             built.append({pair: arrays(*pair) for pair in pairs})
     finally:
-        # the cached transport plans hold the tables from before the clear
-        energy_module._transport_plan.clear()
+        clear_energy_rows()
     assert built[0] == built[1]
 
 
@@ -234,42 +232,45 @@ def _reference_terms(b):
     return left, right
 
 
+def _long_unsorted(ct, count, seed):
+    rng = random.Random(seed)
+    heights = [rng.randint(1, ct.max_height) for _ in range(count)]
+    return TensorElement(ct, tuple(rng.choice(columns(ct, h)) for h in heights))
+
+
 def test_coded_transport_matches_the_pair_maps():
     # tau reverses the factors and a rotation moves the tallest one to the
-    # end, so the plans of unsorted shapes are checked as well
-    for ct, mu in theorem_shapes():
-        for b in iter_tensor_elements(ct, shape_heights(ct, mu)):
-            rotated = TensorElement(ct, b.factors[1:] + b.factors[:1])
-            for elem in (b, tau(b), rotated):
-                left, right = _reference_terms(elem)
-                report = energy_report(elem)
-                assert report.left_terms == left, elem
-                assert report.right_terms == right, elem
-                assert energy_DL(elem) == report.d_left == sum(left.values()), elem
-                assert energy_DR(elem) == report.d_right == sum(right.values()), elem
+    # end, so unsorted shapes are checked as well, and so are two of 65
+    # factors, past the length of the per-shape plans the rows replaced
+    elements = [
+        elem
+        for ct, mu in theorem_shapes()
+        for b in iter_tensor_elements(ct, shape_heights(ct, mu))
+        for elem in (b, tau(b), TensorElement(ct, b.factors[1:] + b.factors[:1]))
+    ]
+    elements += [_long_unsorted(CartanType("A", 3), 65, 1), _long_unsorted(C3, 65, 2)]
+    for elem in elements:
+        left, right = _reference_terms(elem)
+        report = energy_report(elem)
+        assert report.left_terms == left, elem
+        assert report.right_terms == right, elem
+        assert energy_DL(elem) == report.d_left == sum(left.values()), elem
+        assert energy_DR(elem) == report.d_right == sum(right.values()), elem
 
 
-def test_a_long_energy_dl_builds_no_right_chain(monkeypatch):
-    plan, plans = energy_module._transport_plan, []
-    real = plan.build
-
-    def build(ct, heights):
-        plans.append(real(ct, heights))
-        return plans[-1]
-
-    monkeypatch.setattr(plan, "build", build)
+def test_a_dl_call_links_no_dr_row():
     A3 = CartanType("A", 3)
     rng = random.Random(65)
-    b = TensorElement(A3, tuple(rng.choice(columns(A3, 1)) for _ in range(PLAN_CACHE_FACTORS + 1)))
+    b = TensorElement(A3, tuple(rng.choice(columns(A3, 1)) for _ in range(65)))
+    clear_energy_rows()
     assert energy_DL(b) == -charge(b)
-    # the plan's built directions are its keys
-    assert [list(p) for p in plans] == [[-1]]
+    assert list(energy_rows()) == [(A3, -1)]
     report = energy_report(b)
-    assert [list(p) for p in plans] == [[-1], [-1, 1]]  # a long shape's plan is not kept
+    assert list(energy_rows()) == [(A3, -1), (A3, 1)]
     assert report.d_left == energy_DL(b) and report.d_right == energy_DR(b)
 
 
-def test_transport_reads_no_table_after_the_plan(monkeypatch):
+def test_transport_reads_no_table_after_its_rows_fill(monkeypatch):
     heights = (2, 1, 3, 1)  # unsorted, with a repeated height
     b = TensorElement(C3, tuple(columns(C3, h)[3 * h] for h in heights))
     want = energy_DL(b), energy_DR(b), energy_report(b)
@@ -279,6 +280,31 @@ def test_transport_reads_no_table_after_the_plan(monkeypatch):
 
     monkeypatch.setattr(energy_module, "local_table", fail)
     assert (energy_DL(b), energy_DR(b), energy_report(b)) == want
+
+
+@pytest.mark.parametrize("energy", [energy_DL, energy_DR, energy_report])
+def test_a_factor_off_the_columns_fills_no_row(monkeypatch, energy):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return local_table(*args)
+
+    clear_energy_rows()
+    monkeypatch.setattr(energy_module, "local_table", counted)
+    good = (columns(C3, 2)[5], columns(C3, 1)[1], columns(C3, 1)[4])
+    want = energy(TensorElement(C3, good))
+    filled = len(calls)
+    assert filled > 0
+    # (9,) has height 1 but is no column of C3; as the first factor it is
+    # met by the D^L chains, as the second it moves in one
+    for bad in ((9,),) + good[1:], good[:1] + ((9,),) + good[2:]:
+        for _ in range(3):
+            with pytest.raises(KeyError):
+                energy(TensorElement(C3, bad))
+    assert len(calls) == filled
+    assert energy(TensorElement(C3, good)) == want
+    assert len(calls) == filled
 
 
 @pytest.mark.parametrize(
@@ -402,7 +428,7 @@ def test_iterated_views_retain_nothing():
     assert retained < 64 * 1024
 
 
-_RETAINED_BY_A_LONG_PLAN = """
+_RETAINED_BY_A_LONG_TRANSPORT = """
 import gc, random, tracemalloc
 from kncrystals import CartanType, TensorElement, charge, columns, energy_DL, energy_DR
 A3 = CartanType("A", 3)
@@ -415,10 +441,11 @@ print(d_left + charge(b), d_right, tracemalloc.get_traced_memory()[0])
 """
 
 
-def test_a_long_plan_retains_references_only():
-    # 2 x 300 x 299 / 2 step references, about 0.7 MB; a plan of per-step
-    # tuples retained 8.0 MB
-    theorem, d_right, retained = map(int, _python(_RETAINED_BY_A_LONG_PLAN))
+def test_a_long_transport_retains_its_rows_only():
+    # the rows of A3 are per type; the per-shape plan they replaced held
+    # 2 x 300 x 299 / 2 step references, about 0.7 MB, and a plan of
+    # per-step tuples before it 8.0 MB
+    theorem, d_right, retained = map(int, _python(_RETAINED_BY_A_LONG_TRANSPORT))
     assert theorem == 0 and d_right <= 0
     assert retained < 1024 * 1024
 
@@ -437,9 +464,36 @@ print(*values, tracemalloc.get_traced_memory()[0])
 
 
 def test_a_long_element_leaves_no_plan_behind():
-    # the plans of a shape of more than PLAN_CACHE_FACTORS factors are built
-    # per call: cached, the transport plan of these 2,000 factors retained
+    # a per-shape transport plan of these 2,000 factors, cached, retained
     # about 31 MB
     d_left, d_right, c, retained = map(int, _python(_RETAINED_BY_A_LONG_ELEMENT))
     assert d_left == -c and d_right <= 0
     assert retained < 1024 * 1024
+
+
+_RETAINED_BY_DISTINCT_SHAPES = """
+import gc, random, tracemalloc
+from kncrystals import CartanType, TensorElement, columns, energy_DL, energy_DR
+A4 = CartanType("A", 4)
+rng = random.Random(11)
+elements = [
+    TensorElement(A4, tuple(rng.choice(columns(A4, rng.randint(1, 3))) for _ in range(20)))
+    for _ in range(1050)
+]
+warm, elements = elements[:50], elements[50:]
+for b in warm:  # meets every pair of heights in both directions
+    energy_DL(b), energy_DR(b)
+shapes = len({b.heights for b in elements})
+tracemalloc.start()
+for b in elements:
+    energy_DL(b), energy_DR(b)
+gc.collect()
+print(shapes, tracemalloc.get_traced_memory()[0])
+"""
+
+
+def test_distinct_shapes_retain_nothing():
+    # the rows are per type; a plan per shape retained about 7 MB here
+    shapes, retained = map(int, _python(_RETAINED_BY_DISTINCT_SHAPES))
+    assert shapes == 1000
+    assert retained < 256 * 1024

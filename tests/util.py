@@ -6,6 +6,7 @@ from kncrystals import CartanType, conjugate
 
 # the package exports the function ``charge``, which shadows the module
 charge_module = import_module("kncrystals.charge")
+energy_module = import_module("kncrystals.energy")
 
 
 def clear_step_tables():
@@ -15,6 +16,20 @@ def clear_step_tables():
     table warmed by an earlier test would answer in its place.
     """
     charge_module._STORE.clear()
+
+
+def clear_energy_rows():
+    """Forget energy's transport rows, with the local tables they hold.
+
+    A test that clears the ``local_table`` cache clears them too, or the
+    rows would keep answering with the tables from before.
+    """
+    energy_module._ROWS.clear()
+
+
+def energy_rows():
+    """Energy's transport rows by ``(ct, step)``: the moved columns of each."""
+    return {key: rows[2] for key, rows in energy_module._ROWS.items()}
 
 
 def _stored(size):
