@@ -264,9 +264,9 @@ def test_a_dl_call_links_no_dr_row():
     b = TensorElement(A3, tuple(rng.choice(columns(A3, 1)) for _ in range(65)))
     clear_energy_rows()
     assert energy_DL(b) == -charge(b)
-    assert list(energy_rows()) == [(A3, -1)]
+    assert energy_rows() == [(A3, -1)]
     report = energy_report(b)
-    assert list(energy_rows()) == [(A3, -1), (A3, 1)]
+    assert energy_rows() == [(A3, -1), (A3, 1)]
     assert report.d_left == energy_DL(b) and report.d_right == energy_DR(b)
 
 

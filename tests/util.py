@@ -28,8 +28,8 @@ def clear_energy_rows():
 
 
 def energy_rows():
-    """Energy's transport rows by ``(ct, step)``: the moved columns of each."""
-    return {key: rows[2] for key, rows in energy_module._ROWS.items()}
+    """The ``(ct, step)`` of every direction that energy's transport rows hold."""
+    return list(energy_module._ROWS)
 
 
 def _stored(size):
