@@ -77,17 +77,16 @@ def run_bench(ct, heights, trials=10_000, seed=0, repeats=3):
     energies = [energy_DL(b) for b in sample]
     agreement = all(d == -c for d, c in zip(energies, charges))
 
-    def timed(fn):
-        runs = []
-        for _ in range(repeats):
+    # the repeats alternate, so a change of CPU speed state between them
+    # weighs on both timings alike
+    runs = {charge: [], energy_DL: []}
+    for _ in range(repeats):
+        for fn, times in runs.items():
             t0 = time.perf_counter()
             for b in sample:
                 fn(b)
-            runs.append((time.perf_counter() - t0) * 1e9 / len(sample))
-        return statistics.median(runs)
-
-    charge_ns = timed(charge)
-    energy_ns = timed(energy_DL)
+            times.append((time.perf_counter() - t0) * 1e9 / len(sample))
+    charge_ns, energy_ns = map(statistics.median, runs.values())
 
     return BenchReport(
         cartan=str(ct),

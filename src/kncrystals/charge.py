@@ -33,6 +33,13 @@ stored, and a table stops at ``STEP_TABLE_CAP`` slots.  No arm needs the
 shape: a descent in row r at factor p has the arm ``#{q >= p : h_q >= r}``
 (in type C, the split filling's doubled arm halved back).
 
+``charge`` reaches its records as energy reaches its transports, through
+plain dicts: the row of a height-``h`` factor, shared per ``(ct, h)``, maps
+each column that may follow it to its code and its record, and a type's
+first row does so for a first factor.  A row fills a whole height at a time
+on a miss, through :func:`kncrystals.core._fill_row`, which holds the rank
+work to the budget and refuses a factor that is not a column first.
+
 Both routes require the column heights to be weakly decreasing left to right;
 callers holding an unsorted element can reorder it with
 :func:`kncrystals.qpoly.sort_via_rmatrix`, which preserves the energy.
@@ -43,11 +50,11 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import repeat
 from operator import lt, neg
 
-from .core import _check_rank_work, _column_index, split_column
+from .core import _fill_row, columns, split_column
 from .errors import HeightsNotSorted, NotPartitionContent, OddArmSum, ShapeTooLarge
 
 #: Slots per step table; a step whose slot lies past it is not stored, and a
@@ -249,63 +256,41 @@ class _Increments(dict):
         return inc
 
 
+# ``[ct]``: a type's first row; ``[ct, h_prev, h]``: a record; ``[ct, h]``: height
+# ``h``'s key columns, their codes and its row of successors.  One clear() drops all.
+_STORE = {}
+
+
 def _record(ct, h_prev, h):
-    """``(column index, column count, step table, shift, mask, increments, read,
-    successors, registries)`` of a height-``h`` factor's steps after a height-``h_prev``
-    one.  An entry ``e`` holds the next code ``e >> shift`` and the descent rows
-    ``e & mask``; field ``h`` of the packed prefix counts is at bit ``read``; the
-    registries are height ``h_prev``'s key columns and height ``h``'s key columns
-    and codes; and ``successors[h_next]`` is the next record, once linked.
+    """``(column count, step table, shift, mask, increments, read, successors, h,
+    registries)`` of a height-``h`` factor's steps after a height-``h_prev`` one.
+    An entry ``e`` holds the next code ``e >> shift`` and the descent rows
+    ``e & mask``; field ``h`` of the packed prefix counts is at bit ``read``;
+    ``successors`` is height ``h``'s row, shared by every record of that height;
+    and the registries are height ``h_prev``'s key columns and height ``h``'s
+    key columns and codes.
     """
     rec = _STORE.get((ct, h_prev, h))
     if rec is None:
-        index, (keys, codes) = _column_index(ct, h), _STORE.setdefault((ct, h), ([], {}))
-        prev_keys = _STORE.setdefault((ct, h_prev), ([], {}))[0]
+        keys, codes, successors = _STORE.setdefault((ct, h), ([], {}, {}))
+        prev_keys = _STORE.setdefault((ct, h_prev), ([], {}, {}))[0]
         rec = _STORE[ct, h_prev, h] = (
-            index, len(index), array("i"), h + 1, (2 << h) - 1, _Increments(h),
-            _FIELD * (h - 1), [None] * (h + 1), (prev_keys, keys, codes),
+            len(columns(ct, h)), array("i"), h + 1, (2 << h) - 1, _Increments(h),
+            _FIELD * (h - 1), successors, h, (prev_keys, keys, codes),
         )
     return rec
 
 
-def _link(ct, successors, h_prev, h):
-    """``successors[h]``, the record after a height-``h_prev`` factor, linked if its
-    rank work is within the budget; else ``ShapeTooLarge`` sends charge to ``circ_ord``."""
-    _check_rank_work(ct, (h_prev, h))
-    rec = successors[h] = _record(ct, h_prev, h)
-    return rec
-
-
-class _Firsts(dict):
-    """A type's first records by height: the record after a factor of the same height."""
-
-    def __init__(self, ct):
-        self.ct = ct
-
-    def __missing__(self, h):
-        return _link(self.ct, self, h, h)
-
-
-class _Store(dict):
-    """``[ct]``: a type's ``_Firsts``; ``[ct, h_prev, h]``: a record; ``[ct, h]``: a registry."""
-
-    def __missing__(self, ct):
-        firsts = self[ct] = _Firsts(ct)
-        return firsts
-
-
-_STORE = _Store()  # one clear() drops every record, table and registry
-
-
-def _step_miss(ct, rec, code, col, spill):
+def _step_miss(ct, rec, code, col, c, spill):
     """The entry of a step its table lacks: the plain step, stored if its row fits the cap.
 
-    ``code`` is -1 before the first factor, else the previous key column's
-    place in the record's previous key columns, or from ``_SPILL`` on for one
-    that got no code past a full table: ``spill``, the caller's, maps such
-    codes and key columns both ways.  A table grows by whole rows of ``n`` slots.
+    ``c`` is the code of ``col``.  ``code`` is -1 before the first factor, else
+    the previous key column's place in the record's previous key columns, or
+    from ``_SPILL`` on for one that got no code past a full table: ``spill``,
+    the caller's, maps such codes and key columns both ways.  A table grows by
+    whole rows of ``n`` slots.
     """
-    index, n, table, shift, _, _, _, _, (prev_keys, keys, codes) = rec
+    n, table, shift, _, _, _, _, _, (prev_keys, keys, codes) = rec
     prev = None if code < 0 else prev_keys[code] if code < _SPILL else spill[code]
     produced, cells = _circ_step(ct, prev, col)
     key, end = produced[-1], (code + 2) * n
@@ -319,35 +304,39 @@ def _step_miss(ct, rec, code, col, spill):
     entry = nxt << shift | sum(1 << row for _, row in cells)
     if end <= STEP_TABLE_CAP and entry < 1 << 31:  # a slot holds an "i"
         table.extend(repeat(-1, end - len(table)))
-        table[(code + 1) * n + index[col]] = entry
+        table[(code + 1) * n + c] = entry
     return entry
 
 
 def charge(elem):
     """The charge statistic; equal to minus the energy D.
 
-    One pass along the records' successor links, with nothing kept per shape.
+    One pass along the rows of successors, with nothing kept per shape.
     Summing each descent's arm over the factors it reaches, the charge is the
     sum over q of the descents in rows ``<= h_q`` among factors 0 to q: field
     ``h_q`` of the packed prefix counts.  Over the rank budget it takes the
     plain route of ``circ_ord``, which builds no column index.
     """
     ct, factors = elem.cartan, elem.factors
-    succ, code, spill, counts, total = _STORE[ct], -1, {}, 0, 0
+    row = _STORE.get(ct) or _STORE.setdefault(ct, {})
+    code, spill, counts, total = -1, {}, 0, 0
+    h = len(factors[0]) if factors else 0  # a first factor follows its own height
     try:
         for col in factors:
-            rec = succ[len(col)] or _link(ct, succ, len(succ) - 1, len(col))
-            index, n, table, shift, mask, inc, read, succ, _ = rec
-            key = (code + 1) * n + index[col]
+            try:
+                c, rec = row[col]
+            except KeyError:
+                if len(col) > h:
+                    _require_sorted(elem.heights)
+                c, rec = _fill_row(ct, row, col, partial(_record, ct, h, len(col)), h, len(col))
+            n, table, shift, mask, inc, read, row, h, _ = rec
+            key = (code + 1) * n + c
             entry = table[key] if key < len(table) else -1
             if entry < 0:
-                entry = _step_miss(ct, rec, code, col, spill)
+                entry = _step_miss(ct, rec, code, col, c, spill)
             code = entry >> shift
             counts += inc[entry & mask]
             total += counts >> read & _FIELD_MASK
-    except IndexError:
-        _require_sorted(tuple(map(len, factors)))  # a taller factor ran off ``succ``
-        raise
     except ShapeTooLarge:
         return charge_from_filling(circ_ord(elem))
     return total

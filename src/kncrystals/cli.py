@@ -45,10 +45,10 @@ def _heights(args, ct):
     return _budgeted_heights(ct, _parse_ints(args.mu), getattr(args, "budget", None))
 
 
-def _add_shape_options(sub, mu_required=False):
+def _add_shape_options(sub):
     sub.add_argument("-t", "--type", choices=("A", "C"), required=True)
     sub.add_argument("-n", type=int, required=True)
-    group = sub.add_mutually_exclusive_group(required=mu_required)
+    group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--mu", help="partition, e.g. 3,3,1 (factors get heights mu')")
     group.add_argument("--heights", help="factor heights left to right, e.g. 3,2,1")
 
@@ -166,13 +166,13 @@ def build_parser():
     p.set_defaults(func=cmd_energy)
 
     p = subs.add_parser("enumerate", help="list the vertices of a shape")
-    _add_shape_options(p, mu_required=True)
+    _add_shape_options(p)
     p.add_argument("--limit", type=int,
                    help="print at most this many elements (0: only the count)")
     p.set_defaults(func=cmd_enumerate)
 
     p = subs.add_parser("ground-states", help="enumerate ground states")
-    _add_shape_options(p, mu_required=True)
+    _add_shape_options(p)
     p.set_defaults(func=cmd_ground_states)
 
     p = subs.add_parser("macdonald", help="Macdonald polynomial at t = 0")
@@ -189,25 +189,25 @@ def build_parser():
     p.set_defaults(func=cmd_kostka)
 
     p = subs.add_parser("xsum", help="one-dimensional configuration sum")
-    _add_shape_options(p, mu_required=True)
+    _add_shape_options(p)
     p.add_argument("--lambda", dest="lam", required=True)
     p.set_defaults(func=cmd_xsum)
 
     p = subs.add_parser("graph", help="crystal graph as DOT")
-    _add_shape_options(p, mu_required=True)
+    _add_shape_options(p)
     p.add_argument("--classical", action="store_true", help="omit 0-arrows")
     p.add_argument("--out", help="write to a file instead of stdout")
     p.set_defaults(func=cmd_graph)
 
     p = subs.add_parser("verify", help="exhaustive identity checks on a shape")
-    _add_shape_options(p, mu_required=True)
+    _add_shape_options(p)
     p.add_argument("--suites", help=f"comma list from {','.join(SUITE_NAMES)}")
     p.add_argument("--budget", type=int, help="vertex cap (default 5e6)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("bench", help="time charge against recursive energy")
-    _add_shape_options(p, mu_required=True)
+    _add_shape_options(p)
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--repeats", type=int, default=3)

@@ -54,7 +54,9 @@ from .core import (
     DEMAZURE_LEVEL,
     TensorElement,
     _check_rank_work,
+    _checked_index,
     _column_index,
+    _fill_row,
     column_content,
     column_e,
     column_eps_phi,
@@ -375,7 +377,8 @@ class _Rows(dict):
     row maps a met column to ``(met offset, energies, moved, moving
     stride)``: the pair code is ``met offset + moving * moving stride``, and
     ``moved`` holds, by pair code, the code of the moving factor after
-    sigma.  Both are plain dicts, filled a whole height at a time on a miss.
+    sigma.  Both are plain dicts, filled a whole height at a time on a miss:
+    ``movers`` by :func:`kncrystals.core._fill_row`, a row by :func:`_fill`.
     """
 
     def __missing__(self, key):
@@ -384,24 +387,6 @@ class _Rows(dict):
 
 
 _ROWS = _Rows()
-
-
-def _checked_index(ct, col, *pair):
-    """The column index of ``col``'s height, after the rank work of ``pair``
-    is held to the budget; ``KeyError`` if ``col`` is not among its columns."""
-    _check_rank_work(ct, pair)  # before any column index is built
-    index = _column_index(ct, len(col))
-    if col not in index:
-        raise KeyError(col)
-    return index
-
-
-def _link(ct, movers, col):
-    """``movers[col]``, after putting in every column of ``col``'s height with
-    its code and the height's one row, empty until its first meeting."""
-    row = {}
-    movers.update((c, (k, row)) for c, k in _checked_index(ct, col, len(col)).items())
-    return movers[col]
 
 
 def _fill(ct, step, h, row, col):
@@ -439,7 +424,7 @@ def _chain_sum(rows, factors, starts, terms=None):
         try:
             moving, row = movers[col]
         except KeyError:
-            moving, row = _link(ct, movers, col)
+            moving, row = _fill_row(ct, movers, col, dict, len(col))
         for col in factors[q + step::step]:
             try:
                 offset, energies, moved, stride = row[col]

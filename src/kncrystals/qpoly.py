@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from operator import add
+from operator import add, lt
 
 from .charge import _FIELD_MASK, _record, _require_sorted, _step_miss, charge
 from .core import (
@@ -170,12 +170,12 @@ class _PrefixScan:
         """The vertices below the node that holds factors 0 to p - 1."""
         ct, factors, rows, starts = self.ct, self.factors, self.rows, (p,) if p else ()
         rec = self.records[p]
-        _, n, table, shift, mask, inc, read, _, _ = rec
+        n, table, shift, mask, inc, read, _, _, _ = rec
         base = (code + 1) * n
         for c, (col, content) in enumerate(self.pools[p]):
             entry = table[base + c] if base + c < len(table) else -1
             if entry < 0:
-                entry = _step_miss(ct, rec, code, col, self.spill)
+                entry = _step_miss(ct, rec, code, col, c, self.spill)
             factors[p] = col
             d = dl + _chain_sum(rows, factors, starts) if rows is not None else None
             w = tuple(map(add, wt, content))
@@ -225,8 +225,11 @@ def highest_weight_elements(ct, heights, budget=None):
 
 def _graded_highest(ct, heights, lam, statistic):
     """The highest elements of weight ``lam``, graded by ``statistic``."""
+    lam = tuple(lam)
+    if len(lam) > ct.n or any(map(lt, lam, lam[1:])) or lam and lam[-1] < 0:
+        raise ValueError(f"lambda = {lam} is not a partition of at most n = {ct.n} parts")
     highest = highest_weight_elements(ct, heights)  # before the n-entry target
-    target = tuple(lam) + (0,) * (ct.n - len(lam))
+    target = lam + (0,) * (ct.n - len(lam))
     return QPolynomial.from_dict(
         Counter(statistic(b) for b in highest if weight(b) == target)
     )
@@ -239,8 +242,6 @@ def kostka_foulkes(ct, lam, mu):
     lam, mu = tuple(lam), tuple(mu)
     if sum(lam) != sum(mu):
         raise WeightMismatch(f"|{lam}| != |{mu}|")
-    if len(lam) > ct.n:
-        raise ValueError(f"lambda = {lam} has more than n = {ct.n} parts")
     return _graded_highest(ct, _budgeted_heights(ct, mu), lam, charge)
 
 

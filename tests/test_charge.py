@@ -199,8 +199,8 @@ def test_charge_drops_across_zero_raising():
 
 def test_heights_must_be_sorted():
     b = element(C3, [(1,), (1, 2)])
-    # the taller factor runs off the successors of the height-1 record, so
-    # no record is stored for the pair and the second call raises too
+    # the taller factor is refused before the height-1 row fills, so no
+    # record is stored for the pair and the second call raises too
     for _ in range(2):
         with pytest.raises(HeightsNotSorted, match=r"heights \(1, 2\) are not weakly"):
             charge(b)
@@ -344,6 +344,23 @@ def test_charge_over_the_rank_budget_builds_no_column_index(fresh_tables):
     assert dict(charge_module._STORE[big]) == {}
 
 
+@pytest.mark.parametrize("factors, kept", [
+    (((9,),), ()),  # (9,) has height 1 but is no column of C3
+    (((1, 2), (9,)), ((C3, 2, 2),)),
+])
+def test_a_factor_off_the_columns_stores_nothing(fresh_tables, factors, kept):
+    b = TensorElement(C3, factors)
+    for _ in range(2):
+        with pytest.raises(KeyError):
+            charge(b)
+        assert set(step_tables()) == set(kept)
+        assert set(key_registries()) == {(C3, h) for _, _, h in kept}
+        # the first row holds the height-2 columns only, and no row of
+        # successors fills
+        assert all(len(col) == 2 for col in charge_module._STORE[C3])
+        assert not any(charge_module._STORE[key][2] for key in key_registries())
+
+
 def _long_element(ct, pattern, length, seed):
     """A random element of ``length`` factors, its heights ``pattern`` cycled and sorted."""
     heights = sorted(islice(cycle(pattern), length), reverse=True)
@@ -369,7 +386,7 @@ def test_a_warm_long_charge_builds_nothing(monkeypatch, ct, pattern):
     def fail(*args):
         raise AssertionError("charge built a record or ran a step")
 
-    for name in ("_record", "_link", "_step_miss"):
+    for name in ("_record", "_fill_row", "_step_miss"):
         monkeypatch.setattr(charge_module, name, fail)
     assert charge(b) == want
 
@@ -391,5 +408,7 @@ def test_clearing_the_store_drops_every_record(fresh_tables):
     scanned = _prefix_scan(ct, heights, _energy=False)
     for (factors, c, _, _), b in zip(scanned, elements, strict=True):
         assert factors == b.factors and c == charge(b) == charge_via_selection(b), b
-    # charge's links lead to the records the scan built
-    assert charge_module._STORE[ct][2] is charge_module._STORE[ct, 2, 2]
+    # charge's rows lead to the records the scan built
+    first, _, third = elements[-1].factors
+    assert charge_module._STORE[ct][first][1] is charge_module._STORE[ct, 2, 2]
+    assert charge_module._STORE[ct, 2][2][third][1] is charge_module._STORE[ct, 2, 1]

@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 import time
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -264,6 +265,14 @@ def test_cli_error_exit_codes(capsys):
     assert "empty entry" in capsys.readouterr().err
     assert main(["ground-states", "-t", "A", "-n", "3", "--heights", ""]) == 2
     assert "empty entry" in capsys.readouterr().err
+    # a lambda that is not a partition of at most n parts
+    for argv in (
+        ["kostka", "-t", "A", "-n", "3", "--lambda", "1,2", "--mu", "2,1"],
+        ["xsum", "-t", "A", "-n", "3", "--mu", "2,1", "--lambda", "1,2"],
+        ["xsum", "-t", "A", "-n", "3", "--mu", "2,1", "--lambda", "2,1,0,0"],
+    ):
+        assert main(argv) == 2
+        assert "not a partition" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["bogus-command"])
     assert exc.value.code == 2
@@ -297,6 +306,15 @@ def test_cli_bench_smoke(capsys):
     assert data["energy_warm_ns_per_element"] > 0
     assert data["energy_over_charge_ratio"] > 0
     assert data["schema_version"] == 3
+
+
+def test_bench_alternates_its_timed_repeats(monkeypatch):
+    bench_module = import_module("kncrystals.bench")
+    calls = []
+    for name in ("charge", "energy_DL"):
+        monkeypatch.setattr(bench_module, name, lambda b, name=name: calls.append(name) or 0)
+    run_bench(C3, (1,), trials=2, repeats=3)
+    assert calls[-12:] == ["charge", "charge", "energy_DL", "energy_DL"] * 3
 
 
 def _python(*args, timeout=30):

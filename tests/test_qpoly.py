@@ -68,6 +68,15 @@ def test_kostka_examples():
         kostka_foulkes(A1, (2,), (1,))
 
 
+@pytest.mark.parametrize("lam", [(1, 2), (2, 1, 0, 0), (4, -1)])
+def test_lambda_must_be_a_partition_of_at_most_n_parts(lam):
+    A3 = CartanType("A", 3)
+    with pytest.raises(ValueError, match="not a partition"):
+        kostka_foulkes(A3, lam, (2, 1))
+    with pytest.raises(ValueError, match="not a partition"):
+        one_dim_sum_X(A3, lam, (2, 1))
+
+
 def test_schur_oracle_basic():
     assert schur_content_multiplicities(2, (1,)) == {(1, 0): 1, (0, 1): 1}
     assert schur_content_multiplicities(2, (1, 1)) == {(1, 1): 1}

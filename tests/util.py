@@ -42,12 +42,12 @@ def _stored(size):
 
 def step_tables():
     """Charge's step tables by ``(ct, h_prev, h)``, read off its records."""
-    return {key: rec[2] for key, rec in _stored(3).items()}
+    return {key: rec[1] for key, rec in _stored(3).items()}
 
 
 def key_registries():
-    """Charge's key column registries by ``(ct, h)``."""
-    return _stored(2)
+    """Charge's key column registries, ``(keys, codes)`` by ``(ct, h)``."""
+    return {key: (keys, codes) for key, (keys, codes, _) in _stored(2).items()}
 
 
 def partitions_of(total, maxpart=None):
