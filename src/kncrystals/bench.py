@@ -36,7 +36,7 @@ class BenchReport:
                 f"shape: {self.cartan} heights={list(self.heights)}",
                 f"sampled elements: {self.trials} (timing repeats: {self.repeats})",
                 f"charge: {self.charge_ns_per_element:.0f} ns/element (median)",
-                f"charge first pass (fills its step tables): "
+                f"charge first pass (stores its transitions): "
                 f"{self.charge_cold_ns_per_element:.0f} ns/element",
                 f"energy (warm tables): {self.energy_warm_ns_per_element:.0f} ns/element (median)",
                 f"energy table build (cold): {self.energy_cold_seconds:.3f} s",

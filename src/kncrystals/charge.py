@@ -21,24 +21,17 @@ the produced key columns and the descent cells ``(half, row)``;
 in closed form.
 
 A step depends only on the key column produced before it and the factor's
-column, so ``charge`` and the prefix scan of :mod:`kncrystals.qpoly` read
-it from process-wide records, one per ``(ct, h_prev, h)``, kept in
-``_STORE``, in int arrays at ``(prev code + 1) * |columns(ct, h)| + column
-code`` (-1 where none is stored).  A column's code is its place in
-``columns(ct, h)``; a produced key column (in row order, so not a column)
-gets one on first sight from a registry per ``(ct, h)``, and the first
-factor's prev code is -1.  An entry holds the next code above a bitmask of
-the descent rows.  A miss runs the plain step; a step that raises is never
-stored, and a table stops at ``STEP_TABLE_CAP`` slots.  No arm needs the
+column, so charge is a finite automaton whose states are the produced key
+columns of a type, plus one start state per type before the first factor.
+``charge`` and the prefix scan of :mod:`kncrystals.qpoly` walk it through
+``_STORE``: a state is a plain dict that maps a factor's column to its entry
+``(next state, increment of the packed prefix counts, read shift)``, and
+``None`` to its key column.  A missing transition runs the plain step
+(:func:`_step`), behind the budget check of
+:func:`kncrystals.core._checked_index`; a step that raises is never stored,
+and a type stores at most ``STEP_TABLE_CAP`` transitions.  No arm needs the
 shape: a descent in row r at factor p has the arm ``#{q >= p : h_q >= r}``
 (in type C, the split filling's doubled arm halved back).
-
-``charge`` reaches its records as energy reaches its transports, through
-plain dicts: the row of a height-``h`` factor, shared per ``(ct, h)``, maps
-each column that may follow it to its code and its record, and a type's
-first row does so for a first factor.  A row fills a whole height at a time
-on a miss, through :func:`kncrystals.core._fill_row`, which holds the rank
-work to the budget and refuses a factor that is not a column first.
 
 Both routes require the column heights to be weakly decreasing left to right;
 callers holding an unsorted element can reorder it with
@@ -47,20 +40,16 @@ callers holding an unsorted element can reorder it with
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from itertools import repeat
+from functools import lru_cache
 from operator import lt, neg
 
-from .core import _fill_row, columns, split_column
+from .core import _checked_index, split_column
 from .errors import HeightsNotSorted, NotPartitionContent, OddArmSum, ShapeTooLarge
 
-#: Slots per step table; a step whose slot lies past it is not stored, and a
-#: produced key column it meets for the first time gets no code.
+#: Transitions stored per type; a step past it runs plain on every call.
 STEP_TABLE_CAP = 1 << 16
-_SPILL = 1 << 40  # codes from here on: key columns that got none, per caller
 
 #: Bits of a field of the packed prefix counts.  A field counts at most one
 #: descent per cell of the element, so 48 bits hold any element in memory.
@@ -242,100 +231,69 @@ def charge_from_filling(filling):
     return arms // 2 if filling.doubled else arms
 
 
-class _Increments(dict):
-    """Descent rows (a bitmask) -> their update of the packed prefix counts at
-    a height-``h`` step: one in field ``r`` for each of the rows ``<= r``."""
-
-    def __init__(self, h):
-        self.h = h
-
-    def __missing__(self, rows):
-        inc = self[rows] = sum(
-            (rows & (2 << r) - 1).bit_count() << _FIELD * (r - 1) for r in range(1, self.h + 1)
-        )
-        return inc
-
-
-# ``[ct]``: a type's first row; ``[ct, h_prev, h]``: a record; ``[ct, h]``: height
-# ``h``'s key columns, their codes and its row of successors.  One clear() drops all.
+# ``[ct]``: a type's start state; ``[ct, key]``: the state of the produced key
+# column ``key``; ``[ct, key, inc]``: the entry that reaches it with the
+# increment ``inc``; ``[ct, "transitions"]``: the transitions stored.  One
+# clear() drops all.
 _STORE = {}
 
 
-def _record(ct, h_prev, h):
-    """``(column count, step table, shift, mask, increments, read, successors, h,
-    registries)`` of a height-``h`` factor's steps after a height-``h_prev`` one.
-    An entry ``e`` holds the next code ``e >> shift`` and the descent rows
-    ``e & mask``; field ``h`` of the packed prefix counts is at bit ``read``;
-    ``successors`` is height ``h``'s row, shared by every record of that height;
-    and the registries are height ``h_prev``'s key columns and height ``h``'s
-    key columns and codes.
+def _start(ct):
+    """A type's start state, the one before the first factor."""
+    return _STORE.setdefault(ct, {None: None})
+
+
+def _step(ct, state, col):
+    """``state[col]`` where no transition is stored: the plain step, stored
+    while the type's stored transitions are below ``STEP_TABLE_CAP``.
+
+    The rank work is held to the budget and a factor that is not a column is
+    refused first (:func:`kncrystals.core._checked_index`), and a step that
+    raises stores nothing.  An entry is ``(next state, increment of the
+    packed prefix counts, read shift)``; the transitions that reach one
+    state with one increment share one entry.
     """
-    rec = _STORE.get((ct, h_prev, h))
-    if rec is None:
-        keys, codes, successors = _STORE.setdefault((ct, h), ([], {}, {}))
-        prev_keys = _STORE.setdefault((ct, h_prev), ([], {}, {}))[0]
-        rec = _STORE[ct, h_prev, h] = (
-            len(columns(ct, h)), array("i"), h + 1, (2 << h) - 1, _Increments(h),
-            _FIELD * (h - 1), successors, h, (prev_keys, keys, codes),
-        )
-    return rec
-
-
-def _step_miss(ct, rec, code, col, c, spill):
-    """The entry of a step its table lacks: the plain step, stored if its row fits the cap.
-
-    ``c`` is the code of ``col``.  ``code`` is -1 before the first factor, else
-    the previous key column's place in the record's previous key columns, or
-    from ``_SPILL`` on for one that got no code past a full table: ``spill``,
-    the caller's, maps such codes and key columns both ways.  A table grows by
-    whole rows of ``n`` slots.
-    """
-    n, table, shift, _, _, _, _, _, (prev_keys, keys, codes) = rec
-    prev = None if code < 0 else prev_keys[code] if code < _SPILL else spill[code]
+    prev, h = state[None], len(col)
+    _checked_index(ct, col, *(() if prev is None else (len(prev),)), h)
     produced, cells = _circ_step(ct, prev, col)
-    key, end = produced[-1], (code + 2) * n
-    nxt = codes.get(key)
-    if nxt is None and end <= STEP_TABLE_CAP:
-        nxt = codes[key] = len(keys)
-        keys.append(key)
-    elif nxt is None:
-        nxt = spill.setdefault(key, _SPILL + len(spill) // 2)
-        spill[nxt] = key
-    entry = nxt << shift | sum(1 << row for _, row in cells)
-    if end <= STEP_TABLE_CAP and entry < 1 << 31:  # a slot holds an "i"
-        table.extend(repeat(-1, end - len(table)))
-        table[(code + 1) * n + c] = entry
+    key = produced[-1]
+    # a descent in row r counts in field s of the counts for each row s >= r
+    inc = sum(1 << _FIELD * (s - 1) for _, r in cells for s in range(r, h + 1))
+    nxt = _STORE.get((ct, key))
+    if nxt is None:
+        nxt = {None: key}
+    entry = _STORE.get((ct, key, inc)) or (nxt, inc, _FIELD * (h - 1))
+    if (stored := _STORE.get((ct, "transitions"), 0)) < STEP_TABLE_CAP:
+        _STORE[ct, "transitions"] = stored + 1
+        _STORE[ct, key] = nxt
+        _STORE[ct, key, inc] = state[col] = entry
     return entry
 
 
 def charge(elem):
     """The charge statistic; equal to minus the energy D.
 
-    One pass along the rows of successors, with nothing kept per shape.
-    Summing each descent's arm over the factors it reaches, the charge is the
-    sum over q of the descents in rows ``<= h_q`` among factors 0 to q: field
-    ``h_q`` of the packed prefix counts.  Over the rank budget it takes the
-    plain route of ``circ_ord``, which builds no column index.
+    One walk of the type's transition map, with nothing kept per shape: each
+    factor moves the state, the key column produced last, and adds its
+    increment to the packed prefix counts.  Summing each descent's arm over
+    the factors it reaches, the charge is the sum over q of the descents in
+    rows ``<= h_q`` among factors 0 to q: field ``h_q`` of those counts.
+    Over the rank budget it takes the plain route of ``circ_ord``, which
+    builds no column index.
     """
-    ct, factors = elem.cartan, elem.factors
-    row = _STORE.get(ct) or _STORE.setdefault(ct, {})
-    code, spill, counts, total = -1, {}, 0, 0
-    h = len(factors[0]) if factors else 0  # a first factor follows its own height
+    ct = elem.cartan
+    state = _STORE.get(ct) or _start(ct)
+    counts = total = 0
     try:
-        for col in factors:
+        for col in elem.factors:
             try:
-                c, rec = row[col]
+                state, inc, read = state[col]
             except KeyError:
-                if len(col) > h:
+                prev = state[None]
+                if prev is not None and len(col) > len(prev):
                     _require_sorted(elem.heights)
-                c, rec = _fill_row(ct, row, col, partial(_record, ct, h, len(col)), h, len(col))
-            n, table, shift, mask, inc, read, row, h, _ = rec
-            key = (code + 1) * n + c
-            entry = table[key] if key < len(table) else -1
-            if entry < 0:
-                entry = _step_miss(ct, rec, code, col, c, spill)
-            code = entry >> shift
-            counts += inc[entry & mask]
+                state, inc, read = _step(ct, state, col)
+            counts += inc
             total += counts >> read & _FIELD_MASK
     except ShapeTooLarge:
         return charge_from_filling(circ_ord(elem))

@@ -588,25 +588,23 @@ def _check_rank_work(ct, heights, budget=None):
     return size
 
 
+@lru_cache(maxsize=None)
+def _rank_work_within(ct, heights, budget):
+    """``_check_rank_work``, remembered once it passes: charge's steps call
+    the gate on every transition not yet stored."""
+    _check_rank_work(ct, heights, budget)
+
+
 def _checked_index(ct, col, *pair):
     """The column index of ``col``'s height, after the rank work of ``pair``
-    is held to the budget; ``KeyError`` if ``col`` is not among its columns."""
-    _check_rank_work(ct, pair)  # before any column index is built
+    is held to the budget; ``KeyError`` if ``col`` is not among its columns.
+    Charge's steps and energy's rows pass this gate before anything of theirs
+    goes in."""
+    _rank_work_within(ct, pair, VERTEX_BUDGET)  # before any column index is built
     index = _column_index(ct, len(col))
     if col not in index:
         raise KeyError(col)
     return index
-
-
-def _fill_row(ct, row, col, make, *pair):
-    """``row[col]``, after putting in every column of ``col``'s height with its
-    code and the one value ``make()``.  The rows of charge and energy fill here
-    on a miss, a whole height at a time; a refused ``col`` (see
-    :func:`_checked_index`) puts nothing in and calls no ``make``."""
-    index = _checked_index(ct, col, *pair)
-    value = make()
-    row.update((c, (k, value)) for c, k in index.items())
-    return row[col]
 
 
 def tensor_elements(ct, heights, budget=None):

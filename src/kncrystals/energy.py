@@ -56,7 +56,6 @@ from .core import (
     _check_rank_work,
     _checked_index,
     _column_index,
-    _fill_row,
     column_content,
     column_e,
     column_eps_phi,
@@ -377,8 +376,9 @@ class _Rows(dict):
     row maps a met column to ``(met offset, energies, moved, moving
     stride)``: the pair code is ``met offset + moving * moving stride``, and
     ``moved`` holds, by pair code, the code of the moving factor after
-    sigma.  Both are plain dicts, filled a whole height at a time on a miss:
-    ``movers`` by :func:`kncrystals.core._fill_row`, a row by :func:`_fill`.
+    sigma.  Both are plain dicts, filled a whole height at a time on a miss,
+    ``movers`` in :func:`_chain_sum` and a row by :func:`_fill`, each behind
+    :func:`kncrystals.core._checked_index`.
     """
 
     def __missing__(self, key):
@@ -424,7 +424,12 @@ def _chain_sum(rows, factors, starts, terms=None):
         try:
             moving, row = movers[col]
         except KeyError:
-            moving, row = _fill_row(ct, movers, col, dict, len(col))
+            # a loop: a generator here would close over row and make it a
+            # cell, slower to read in the transport loop below
+            row = {}
+            for c, k in _checked_index(ct, col, len(col)).items():
+                movers[c] = k, row
+            moving = movers[col][0]
         for col in factors[q + step::step]:
             try:
                 offset, energies, moved, stride = row[col]

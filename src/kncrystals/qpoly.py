@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import add, lt
 
-from .charge import _FIELD_MASK, _record, _require_sorted, _step_miss, charge
+from .charge import _FIELD_MASK, _require_sorted, _start, _step, charge
 from .core import (
     VERTEX_BUDGET,
     TensorElement,
@@ -158,31 +158,26 @@ class _PrefixScan:
         self.pools = [
             [(col, column_content(ct, col)) for col in columns(ct, h)] for h in heights
         ]
-        # charge's records, one per position: the budget was checked
-        self.records = [_record(ct, *pair) for pair in zip(heights[:1] + heights, heights)]
-        self.spill = {}
         # the D^L rows, fetched once; node p runs the chain that starts at p
         self.rows = _ROWS[ct, -1] if energy else None
         self.factors = [None] * len(heights)
         self.last = len(heights) - 1
 
-    def walk(self, p, code, counts, total, dl, wt):
+    def walk(self, p, state, counts, total, dl, wt):
         """The vertices below the node that holds factors 0 to p - 1."""
         ct, factors, rows, starts = self.ct, self.factors, self.rows, (p,) if p else ()
-        rec = self.records[p]
-        n, table, shift, mask, inc, read, _, _, _ = rec
-        base = (code + 1) * n
-        for c, (col, content) in enumerate(self.pools[p]):
-            entry = table[base + c] if base + c < len(table) else -1
-            if entry < 0:
-                entry = _step_miss(ct, rec, code, col, c, self.spill)
+        for col, content in self.pools[p]:
+            try:
+                nxt, inc, read = state[col]
+            except KeyError:
+                nxt, inc, read = _step(ct, state, col)
             factors[p] = col
             d = dl + _chain_sum(rows, factors, starts) if rows is not None else None
             w = tuple(map(add, wt, content))
-            s = counts + inc[entry & mask]
+            s = counts + inc
             t = total + (s >> read & _FIELD_MASK)
             if p < self.last:
-                yield from self.walk(p + 1, entry >> shift, s, t, d, w)
+                yield from self.walk(p + 1, nxt, s, t, d, w)
             else:
                 yield tuple(factors), t, d, w
 
@@ -192,20 +187,20 @@ def _prefix_scan(ct, heights, _energy=True):
 
     A depth-first walk over ``columns(ct, h_1) x ... x columns(ct, h_N)``
     that adds one factor at a time, so the work on a prefix is shared by
-    every vertex below it.  A node carries the code of the last key column
-    produced by the circular reordering, the packed prefix counts and the
-    charge, D^L and the weight of the prefix.  Adding factor p reads the
-    step table of charge's record for p (keyed by that code and the
-    column's position in its pool), updates the counts as ``charge`` does,
-    and adds the one D^L chain that starts at p (none at p = 0), read from
-    energy's rows of its type, which the scan fetches once.  Charge and D^L
-    stay the independent routes of ``charge`` and ``energy_DL``.
+    every vertex below it.  A node carries charge's state (the last key
+    column produced by the circular reordering), the packed prefix counts
+    and the charge, D^L and the weight of the prefix.  Adding factor p
+    reads the state's transition for the column, updates the counts as
+    ``charge`` does, and adds the one D^L chain that starts at p (none at
+    p = 0), read from energy's rows of its type, which the scan fetches
+    once.  Charge and D^L stay the independent routes of ``charge`` and
+    ``energy_DL``.
 
     Returns an iterator of ``(factors, charge, D^L, weight)`` in product
     order; with ``_energy`` false no D^L chain runs and D^L reads None.
     """
     scan = _PrefixScan(ct, tuple(heights), _energy)
-    return scan.walk(0, -1, 0, 0, 0 if _energy else None, (0,) * ct.n)
+    return scan.walk(0, _start(ct), 0, 0, 0 if _energy else None, (0,) * ct.n)
 
 
 def macdonald_p_q0(ct, mu, budget=None):

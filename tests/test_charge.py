@@ -4,7 +4,7 @@ from importlib import import_module
 from itertools import cycle, islice
 
 import pytest
-from util import clear_step_tables, key_registries, step_tables, theorem_shapes
+from util import charge_states, clear_charge_states, fresh_python, theorem_shapes
 
 from kncrystals import (
     CartanType,
@@ -199,12 +199,12 @@ def test_charge_drops_across_zero_raising():
 
 def test_heights_must_be_sorted():
     b = element(C3, [(1,), (1, 2)])
-    # the taller factor is refused before the height-1 row fills, so no
-    # record is stored for the pair and the second call raises too
+    # the taller factor is refused before its step runs, so no transition
+    # from the height-1 state is stored and the second call raises too
     for _ in range(2):
         with pytest.raises(HeightsNotSorted, match=r"heights \(1, 2\) are not weakly"):
             charge(b)
-    assert (C3, 1, 2) not in charge_module._STORE
+    assert (1, 2) not in charge_module._STORE[C3][(1,)][0]
     with pytest.raises(HeightsNotSorted):
         charge_word(b)
     with pytest.raises(HeightsNotSorted):
@@ -261,11 +261,11 @@ def test_circ_ord_maps_every_key_back_to_its_letter():
 
 
 @pytest.fixture
-def fresh_tables():
-    """Charge's step tables, registries and plans, empty before and after the test."""
-    clear_step_tables()
+def fresh_store():
+    """Charge's states and transitions, empty before and after the test."""
+    clear_charge_states()
     yield
-    clear_step_tables()
+    clear_charge_states()
 
 
 def _sample(ct, heights, size, seed):
@@ -275,7 +275,7 @@ def _sample(ct, heights, size, seed):
 
 
 def _assert_coded_charge_matches_both_routes(elements):
-    # a first pass fills the tables and a second reads them warm
+    # a first pass stores the transitions and a second reads them warm
     for _ in range(2):
         for b in elements:
             c = charge(b)
@@ -284,12 +284,12 @@ def _assert_coded_charge_matches_both_routes(elements):
 
 
 # Both shapes repeat adjacent height pairs, so positions with different arms
-# share a step table: an arm sum stored with the step would be wrong here.
+# share transitions: an arm sum stored with the step would be wrong here.
 @pytest.mark.parametrize("ct, heights", [
     (CartanType("A", 3), (2, 2, 2, 1, 1, 1)),
     (C2, (2, 2, 2, 1, 1)),
 ])
-def test_coded_charge_matches_both_routes_on_every_element(fresh_tables, ct, heights):
+def test_coded_charge_matches_both_routes_on_every_element(fresh_store, ct, heights):
     _assert_coded_charge_matches_both_routes(list(iter_tensor_elements(ct, heights)))
 
 
@@ -297,38 +297,36 @@ def test_coded_charge_matches_both_routes_on_every_element(fresh_tables, ct, hei
     (C3, (2, 2, 2, 1, 1)),
     (CartanType("A", 4), (2, 2, 2, 1, 1, 1)),
 ])
-def test_coded_charge_matches_both_routes_on_a_sample(fresh_tables, ct, heights):
+def test_coded_charge_matches_both_routes_on_a_sample(fresh_store, ct, heights):
     _assert_coded_charge_matches_both_routes(_sample(ct, heights, 2000, seed=14))
 
 
-def test_capped_tables_change_no_charge(fresh_tables, monkeypatch):
-    # a few rows of each table fit, so steps are stored, run past a full
-    # table, and run from key columns that got no code
+def test_capped_tables_change_no_charge(fresh_store, monkeypatch):
+    # a few transitions of each type fit, so steps are stored, run past a
+    # full store, and run from states that were never registered
     cap = 30
     monkeypatch.setattr(charge_module, "STEP_TABLE_CAP", cap)
     shapes = ((C3, (2, 2, 1)), (CartanType("A", 4), (3, 2, 1, 1)))
     for ct, heights in shapes:
         for b in iter_tensor_elements(ct, heights):
             assert charge(b) == charge_via_selection(b), b
-        # the scan carries codes, and past the cap codes of key columns
-        # that got none in the tables
+        # the scan carries states, and past the cap unregistered ones
         for factors, c, _, _ in _prefix_scan(ct, heights, _energy=False):
             assert c == charge_via_selection(TensorElement(ct, factors)), factors
-    tables = step_tables()
-    assert tables and max(map(len, tables.values())) <= cap
-    assert sum(len(codes) for _, codes in key_registries().values()) <= cap * len(tables)
+        stored = sum(len(state) for (t, _), state in charge_states().items() if t == ct)
+        assert stored == cap == charge_module._STORE[ct, "transitions"]
 
 
-def test_a_raising_step_is_never_stored(fresh_tables, monkeypatch):
+def test_a_raising_step_is_never_stored(fresh_store, monkeypatch):
     b = element(C2, [(1,)])
     monkeypatch.setattr(charge_module, "_key_columns", lambda ct, col: ((2,), (1,)))
     for _ in range(2):
         with pytest.raises(OddArmSum, match="inside the split pair"):
             charge(b)
-    assert not any(step_tables().values())  # no slot was even made
+    assert not any(charge_states().values())  # no transition was stored
 
 
-def test_charge_over_the_rank_budget_builds_no_column_index(fresh_tables):
+def test_charge_over_the_rank_budget_builds_no_column_index(fresh_store):
     big = CartanType("A", 10**7)
     b = element(big, [(2, 3), (1,)])
     tracemalloc.start()
@@ -339,26 +337,26 @@ def test_charge_over_the_rank_budget_builds_no_column_index(fresh_tables):
         tracemalloc.stop()
     assert c == charge_via_selection(b)
     assert peak < 256 * 1024  # nothing sized by the rank
-    assert not step_tables() and not key_registries()
-    # the first factor's record was over the budget, so none was linked
-    assert dict(charge_module._STORE[big]) == {}
+    # the first factor's step was over the budget, so only the start state is
+    assert charge_states() == {(big, None): {}}
+    assert list(charge_module._STORE) == [big]
 
 
 @pytest.mark.parametrize("factors, kept", [
     (((9,),), ()),  # (9,) has height 1 but is no column of C3
-    (((1, 2), (9,)), ((C3, 2, 2),)),
+    (((1, 2), (9,)), ((1, 2),)),
 ])
-def test_a_factor_off_the_columns_stores_nothing(fresh_tables, factors, kept):
+def test_a_factor_off_the_columns_stores_nothing(fresh_store, factors, kept):
     b = TensorElement(C3, factors)
     for _ in range(2):
         with pytest.raises(KeyError):
             charge(b)
-        assert set(step_tables()) == set(kept)
-        assert set(key_registries()) == {(C3, h) for _, _, h in kept}
-        # the first row holds the height-2 columns only, and no row of
-        # successors fills
-        assert all(len(col) == 2 for col in charge_module._STORE[C3])
-        assert not any(charge_module._STORE[key][2] for key in key_registries())
+        states = charge_states()
+        # the start state keeps the first factor's transition where it is a
+        # column, and no state has one for (9,) or a key column of height 1
+        assert tuple(states.pop((C3, None))) == kept
+        assert all(len(key) == 2 and not state for (_, key), state in states.items())
+        assert len(states) == len(kept)
 
 
 def _long_element(ct, pattern, length, seed):
@@ -384,9 +382,9 @@ def test_a_warm_long_charge_builds_nothing(monkeypatch, ct, pattern):
     want = charge(b)
 
     def fail(*args):
-        raise AssertionError("charge built a record or ran a step")
+        raise AssertionError("charge ran a step")
 
-    for name in ("_record", "_fill_row", "_step_miss"):
+    for name in ("_step", "_circ_step"):
         monkeypatch.setattr(charge_module, name, fail)
     assert charge(b) == want
 
@@ -396,19 +394,61 @@ def test_a_product_with_no_factors_has_charge_zero():
         assert charge(TensorElement(ct, ())) == 0
 
 
-def test_clearing_the_store_drops_every_record(fresh_tables):
-    # a record kept past the clear would keep writing into a table the
-    # store no longer holds, and the scan would fill another
+def test_clearing_the_store_drops_every_record(fresh_store):
+    # a state kept past the clear would keep storing transitions the store
+    # no longer holds, and the scan would store others
     ct, heights = C3, (2, 2, 1)
     elements = list(iter_tensor_elements(ct, heights))
     for b in elements:
         charge(b)
-    clear_step_tables()
+    clear_charge_states()
     assert not charge_module._STORE
     scanned = _prefix_scan(ct, heights, _energy=False)
     for (factors, c, _, _), b in zip(scanned, elements, strict=True):
         assert factors == b.factors and c == charge(b) == charge_via_selection(b), b
-    # charge's rows lead to the records the scan built
-    first, _, third = elements[-1].factors
-    assert charge_module._STORE[ct][first][1] is charge_module._STORE[ct, 2, 2]
-    assert charge_module._STORE[ct, 2][2][third][1] is charge_module._STORE[ct, 2, 1]
+    # charge's states lead to the ones the scan built
+    store = charge_module._STORE
+    state = store[ct]
+    for col in elements[-1].factors:
+        state = state[col][0]
+        assert state is store[ct, state[None]]
+
+
+def test_every_entry_leads_to_the_registered_state(fresh_store):
+    # an entry that led to a twin of a registered state would store the
+    # twin's transitions apart, and walks through the twin would miss them
+    for ct, heights in ((C3, (2, 2, 1)), (CartanType("A", 4), (3, 2, 1, 1))):
+        for b in iter_tensor_elements(ct, heights):
+            charge(b)
+        list(_prefix_scan(ct, heights, _energy=False))
+    store, field = charge_module._STORE, charge_module._FIELD
+    stored = [(ct, entry) for (ct, _), state in charge_states().items() for entry in state.values()]
+    assert len(stored) > 100
+    for ct, entry in stored:
+        nxt, inc, read = entry
+        key = nxt[None]
+        assert store[ct, key] is nxt and store[ct, key, inc] is entry
+        assert read == field * (len(key) - 1)
+
+
+_RETAINED_BY_COLD_CHARGES = """
+import gc, random, tracemalloc
+from kncrystals import CartanType, TensorElement, charge, columns
+C5 = CartanType("C", 5)
+rng = random.Random(0)
+pools = [columns(C5, h) for h in (5, 4, 3, 2, 1)]
+elements = [TensorElement(C5, tuple(map(rng.choice, pools))) for _ in range(10000)]
+tracemalloc.start()
+for b in elements:
+    charge(b)
+gc.collect()
+print(tracemalloc.get_traced_memory()[0])
+"""
+
+
+def test_cold_charges_share_their_entries():
+    # these 10,000 charges store about 18,300 transitions, which share about
+    # 1,400 entries, and retained 1.30 MiB; an entry per transition retained
+    # 2.7 MiB
+    (retained,) = map(int, fresh_python(_RETAINED_BY_COLD_CHARGES))
+    assert retained < 1.25 * 1.30 * 2**20

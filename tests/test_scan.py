@@ -5,12 +5,13 @@ from array import array
 from importlib import import_module
 
 import pytest
-from util import clear_step_tables, step_tables, theorem_shapes
+from util import clear_charge_states, theorem_shapes
 
 import kncrystals.qpoly as qpoly_module
 from kncrystals import (
     CartanType,
     charge,
+    columns,
     energy_DL,
     iter_tensor_elements,
     local_table,
@@ -61,9 +62,9 @@ def test_theorem_scan_still_compares_both_routes():
 
 
 def test_scan_descent_inside_a_split_pair_raises(monkeypatch):
-    # the scan runs charge's circular step on a table miss, which reads
-    # charge's key columns
-    clear_step_tables()
+    # the scan runs charge's circular step on a missing transition, which
+    # reads charge's key columns
+    clear_charge_states()
     monkeypatch.setattr(charge_module, "_key_columns", lambda ct, col: ((2,), (1,)))
     with pytest.raises(OddArmSum, match="split pair"):
         list(_prefix_scan(C2, (1,)))
@@ -104,15 +105,17 @@ def test_macdonald_runs_no_energy_chain(monkeypatch):
 
 def test_an_altered_step_table_entry_fails_the_theorem_suite():
     ct, heights = CartanType("A", 3), (2, 1, 1)
-    clear_step_tables()
+    clear_charge_states()
     try:
         assert run_verify(ct, heights, suites=("theorem",)).suites["theorem"]["passed"]
         # the first factor's step from the generator column: a descent at
-        # row 1 adds that row's arm to the charge of every vertex below it
-        table = step_tables()[ct, 2, 2]
-        table[0] |= 1 << 1
+        # row 1, counted in fields 1 and 2, adds that row's arm to the charge
+        # of every vertex below it
+        start, col = charge_module._STORE[ct], columns(ct, 2)[0]
+        nxt, inc, read = start[col]
+        start[col] = (nxt, inc + (1 << charge_module._FIELD) + 1, read)
         report = run_verify(ct, heights, suites=("theorem",))
         assert not report.suites["theorem"]["passed"]
         assert report.max_discrepancy == 3
     finally:
-        clear_step_tables()
+        clear_charge_states()

@@ -4,18 +4,13 @@ of the coded builds."""
 import dataclasses
 import hashlib
 import itertools
-import os
 import random
-import subprocess
-import sys
 from array import array
 from importlib import import_module
-from pathlib import Path
 
 import pytest
-from util import clear_energy_rows, energy_rows, theorem_shapes
+from util import clear_energy_rows, energy_rows, fresh_python, theorem_shapes
 
-import kncrystals
 from kncrystals import (
     CartanType,
     TensorElement,
@@ -330,21 +325,6 @@ def test_views_raise_key_error_off_the_columns(key):
     assert table.sigma[((1, 3), (2,))] in table.sigma.values()
 
 
-def _python(code):
-    """Run ``code`` in a fresh interpreter on the package under test."""
-    src = str(Path(kncrystals.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    done = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert done.returncode == 0, done.stderr
-    return done.stdout.split()
-
-
 _TRANSPORT_BUILDS_NO_PAIR_KEYS = """
 import random
 from kncrystals import CartanType, TensorElement, columns, energy_DL, local_table
@@ -362,7 +342,7 @@ print(len(table.sigma) == len(table.h) == len(columns(ct, 4)) * len(columns(ct, 
 
 
 def test_set_up_and_transport_build_no_pair_keys():
-    assert _python(_TRANSPORT_BUILDS_NO_PAIR_KEYS) == ["True"]
+    assert fresh_python(_TRANSPORT_BUILDS_NO_PAIR_KEYS) == ["True"]
 
 
 _RETAINED_BY_ONE_TABLE = """
@@ -380,7 +360,7 @@ print(len(table.sigma), tracemalloc.get_traced_memory()[0])
 def test_a_table_retains_its_arrays_only():
     # 132 x 165 pairs: four arrays of 14 bytes a pair together, about 300 KB;
     # tuple-keyed dicts of the same table retained about 1.2 MB
-    entries, retained = map(int, _python(_RETAINED_BY_ONE_TABLE))
+    entries, retained = map(int, fresh_python(_RETAINED_BY_ONE_TABLE))
     assert entries == 132 * 165
     assert retained < 512 * 1024
 
@@ -401,7 +381,7 @@ print(len(image), tracemalloc.get_traced_memory()[0])
 def test_a_sigma_read_builds_no_pair_keys():
     # the image code is decoded into two columns; the swapped table's
     # 165 x 132 pair keys retained about 1.4 MB
-    pair, retained = map(int, _python(_RETAINED_BY_ONE_SIGMA_READ))
+    pair, retained = map(int, fresh_python(_RETAINED_BY_ONE_SIGMA_READ))
     assert pair == 2
     assert retained < 64 * 1024
 
@@ -423,7 +403,7 @@ print(items, tracemalloc.get_traced_memory()[0])
 def test_iterated_views_retain_nothing():
     # each pass iterates the product of the two column tuples; a cache of
     # the pair keys of these four tables retained about 5.6 MB
-    items, retained = map(int, _python(_RETAINED_BY_ITERATED_VIEWS))
+    items, retained = map(int, fresh_python(_RETAINED_BY_ITERATED_VIEWS))
     assert items == 2 * (165 + 132) ** 2
     assert retained < 64 * 1024
 
@@ -445,7 +425,7 @@ def test_a_long_transport_retains_its_rows_only():
     # the rows of A3 are per type; the per-shape plan they replaced held
     # 2 x 300 x 299 / 2 step references, about 0.7 MB, and a plan of
     # per-step tuples before it 8.0 MB
-    theorem, d_right, retained = map(int, _python(_RETAINED_BY_A_LONG_TRANSPORT))
+    theorem, d_right, retained = map(int, fresh_python(_RETAINED_BY_A_LONG_TRANSPORT))
     assert theorem == 0 and d_right <= 0
     assert retained < 1024 * 1024
 
@@ -466,7 +446,7 @@ print(*values, tracemalloc.get_traced_memory()[0])
 def test_a_long_element_leaves_no_plan_behind():
     # a per-shape transport plan of these 2,000 factors, cached, retained
     # about 31 MB
-    d_left, d_right, c, retained = map(int, _python(_RETAINED_BY_A_LONG_ELEMENT))
+    d_left, d_right, c, retained = map(int, fresh_python(_RETAINED_BY_A_LONG_ELEMENT))
     assert d_left == -c and d_right <= 0
     assert retained < 1024 * 1024
 
@@ -494,6 +474,6 @@ print(shapes, tracemalloc.get_traced_memory()[0])
 
 def test_distinct_shapes_retain_nothing():
     # the rows are per type; a plan per shape retained about 7 MB here
-    shapes, retained = map(int, _python(_RETAINED_BY_DISTINCT_SHAPES))
+    shapes, retained = map(int, fresh_python(_RETAINED_BY_DISTINCT_SHAPES))
     assert shapes == 1000
     assert retained < 256 * 1024

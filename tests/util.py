@@ -1,7 +1,12 @@
 """Shared helpers for the test suite."""
 
+import os
+import subprocess
+import sys
 from importlib import import_module
+from pathlib import Path
 
+import kncrystals
 from kncrystals import CartanType, conjugate
 
 # the package exports the function ``charge``, which shadows the module
@@ -9,11 +14,11 @@ charge_module = import_module("kncrystals.charge")
 energy_module = import_module("kncrystals.energy")
 
 
-def clear_step_tables():
-    """Forget charge's records, with their step tables and key column registries.
+def clear_charge_states():
+    """Forget charge's states, with their transitions and shared entries.
 
     A test that patches the plain circular step clears them first, or a
-    table warmed by an earlier test would answer in its place.
+    transition stored by an earlier test would answer in its place.
     """
     charge_module._STORE.clear()
 
@@ -32,22 +37,31 @@ def energy_rows():
     return list(energy_module._ROWS)
 
 
-def _stored(size):
+def charge_states():
+    """Charge's states and their stored transitions, ``{column: entry}`` by
+    ``(ct, key column)``; a type's start state is under ``(ct, None)``."""
     return {
-        key: value
-        for key, value in charge_module._STORE.items()
-        if isinstance(key, tuple) and len(key) == size
+        key if isinstance(key, tuple) else (key, None): {
+            col: entry for col, entry in state.items() if col is not None
+        }
+        for key, state in charge_module._STORE.items()
+        if isinstance(state, dict)
     }
 
 
-def step_tables():
-    """Charge's step tables by ``(ct, h_prev, h)``, read off its records."""
-    return {key: rec[1] for key, rec in _stored(3).items()}
-
-
-def key_registries():
-    """Charge's key column registries, ``(keys, codes)`` by ``(ct, h)``."""
-    return {key: (keys, codes) for key, (keys, codes, _) in _stored(2).items()}
+def fresh_python(code):
+    """Run ``code`` in a fresh interpreter on the package under test; its output, split."""
+    src = str(Path(kncrystals.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
 
 
 def partitions_of(total, maxpart=None):
