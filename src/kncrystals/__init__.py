@@ -45,6 +45,7 @@ from .energy import (
     LocalEnergyTable,
     combinatorial_r,
     commutor,
+    demazure_grading,
     demazure_grading_oracle,
     energy_DL,
     energy_DR,

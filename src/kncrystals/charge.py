@@ -231,9 +231,10 @@ def charge_from_filling(filling):
     return arms // 2 if filling.doubled else arms
 
 
-# ``[ct]``: a type's start state; ``[ct, key]``: the state of the produced key
-# column ``key``; ``[ct, key, inc]``: the entry that reaches it with the
-# increment ``inc``; ``[ct, "transitions"]``: the transitions stored.  One
+# ``[ct]``: a type's start state; ``[ct, "registry"]``: the type's registry,
+# which maps a produced key column ``key`` to its state, ``(key, inc)`` to
+# the entry that reaches that state with the increment ``inc``, and None to
+# the transitions stored, so a stored transition hashes the type once.  One
 # clear() drops all.
 _STORE = {}
 
@@ -257,16 +258,19 @@ def _step(ct, state, col):
     _checked_index(ct, col, *(() if prev is None else (len(prev),)), h)
     produced, cells = _circ_step(ct, prev, col)
     key = produced[-1]
-    # a descent in row r counts in field s of the counts for each row s >= r
-    inc = sum(1 << _FIELD * (s - 1) for _, r in cells for s in range(r, h + 1))
-    nxt = _STORE.get((ct, key))
-    if nxt is None:
-        nxt = {None: key}
-    entry = _STORE.get((ct, key, inc)) or (nxt, inc, _FIELD * (h - 1))
-    if (stored := _STORE.get((ct, "transitions"), 0)) < STEP_TABLE_CAP:
-        _STORE[ct, "transitions"] = stored + 1
-        _STORE[ct, key] = nxt
-        _STORE[ct, key, inc] = state[col] = entry
+    # a descent in row r counts in field s of the counts for each row s >= r:
+    # it adds 1 << _FIELD * (s - 1) for s = r, ..., h, a geometric sum
+    top, inc = 1 << _FIELD * h, 0
+    for _, r in cells:
+        inc += top - (1 << _FIELD * (r - 1))
+    inc //= _FIELD_MASK
+    registry = _STORE.setdefault((ct, "registry"), {None: 0})
+    nxt = registry.get(key) or {None: key}
+    entry = registry.get((key, inc)) or (nxt, inc, _FIELD * (h - 1))
+    if registry[None] < STEP_TABLE_CAP:
+        registry[None] += 1
+        registry[key] = nxt
+        registry[key, inc] = state[col] = entry
     return entry
 
 

@@ -128,7 +128,7 @@ def cmd_verify(args):
     ct = _cartan(args)
     heights = _heights(args, ct)
     mu = _parse_ints(args.mu) if args.mu else None
-    suites = tuple(args.suites.split(",")) if args.suites else None
+    suites = None if args.suites is None else tuple(args.suites.split(","))
     report = run_verify(ct, heights, mu=mu, suites=suites, budget=args.budget)
     print(report.to_json() if args.json else report.to_text())
     return 0 if report.passed else 1

@@ -39,6 +39,12 @@ step, and keeps nothing per shape, so a step costs the same at any length.
 A D^L and a D^R step differ only in the strides that order the pair code
 and in which half of sigma's image the moving factor keeps.  The moving
 factor travels as its code, so no pair of columns is built.
+
+The affine grading checks D^R with neither charge nor the R-matrix: the
+fewest e_0 steps m from b to its ground state u_b equal D^R(b) - D^R(u_b).
+:func:`demazure_grading` grades a whole shape in one search, backwards from
+all ground states; :func:`demazure_grading_oracle` searches forwards from
+one element and is its independent second route.
 """
 
 from __future__ import annotations
@@ -64,11 +70,13 @@ from .core import (
     columns,
     e,
     eps,
+    f,
     is_classical_highest,
+    iter_tensor_elements,
     lusztig_involution,
     phi,
 )
-from .errors import EnergyInconsistent, NoMatchingComponent, TargetUnreachable
+from .errors import ComponentCorrupt, EnergyInconsistent, NoMatchingComponent, TargetUnreachable
 
 
 # On a pair the signature rule collapses to the textbook comparison: f acts
@@ -514,6 +522,9 @@ def demazure_grading_oracle(elem):
     does not satisfy this identity: on the three-box type A_1 product, the
     all-ones element needs two e_0 steps while its D^L differs from the
     target's by one.)
+
+    This searches from one element; :func:`demazure_grading` grades a whole
+    shape in one search and must agree with it at every vertex.
     """
     ct = elem.cartan
     dist = {elem: 0}
@@ -542,3 +553,55 @@ def demazure_grading_oracle(elem):
                 else:
                     queue.append(nxt)
     raise TargetUnreachable(f"no Kyoto-highest element reachable from {elem}")
+
+
+def demazure_grading(ct, heights, budget=None):
+    """``{b: (u_b, m)}`` for every vertex b of the shape, in one search.
+
+    The moves of :func:`demazure_grading_oracle`, reversed and run from all
+    ground states at once: a classical f_i costs 0, and f_0 costs 1 and is
+    taken only where eps_0 >= 2 at its image, where the oracle may take e_0
+    back.  The search runs layer by layer, m = 0, 1, ...: each layer is
+    closed under the classical f_i before its f_0 steps open the next, so
+    every vertex is reached first at its least m and takes its source as
+    u_b.  Each move stays in the component of b (x) u_{Lambda_0}, whose
+    highest element is unique, so a vertex reached from two ground states
+    raises ``ComponentCorrupt``, and one never reached raises
+    ``TargetUnreachable``.
+    """
+    heights = tuple(heights)
+    # every f_i runs on every vertex
+    size = _check_rank_work(ct, heights, budget)
+    grading = {b: (b, 0) for b in iter_tensor_elements(ct, heights) if is_ground_state(b)}
+    classical = ct.classical_indices
+
+    def reach(b, label):
+        """Label b unless it is labelled; True when it is new."""
+        old = grading.get(b)
+        if old is None:
+            grading[b] = label
+            return True
+        if old[0] is not label[0]:
+            raise ComponentCorrupt(
+                f"{b} is reached from the ground states {old[0]} and {label[0]}"
+            )
+        return False
+
+    layer = list(grading.items())
+    while layer:
+        # the layer grows while it is walked: classical moves keep m
+        for b, label in layer:
+            for i in classical:
+                fb = f(b, i)
+                if fb is not None and reach(fb, label):
+                    layer.append((fb, label))
+        following = []
+        for b, (u, m) in layer:
+            fb, label = f(b, 0), (u, m + 1)
+            if fb is not None and eps(fb, 0) >= 2 and reach(fb, label):
+                following.append((fb, label))
+        layer = following
+    if len(grading) != size:
+        missed = next(b for b in iter_tensor_elements(ct, heights) if b not in grading)
+        raise TargetUnreachable(f"no Kyoto-highest element reaches {missed}")
+    return grading

@@ -27,7 +27,8 @@ class SplitImpossible(CrystalError):
 
 
 class ComponentCorrupt(CrystalError):
-    """A raising/lowering step failed while mirroring a crystal word."""
+    """A raising/lowering step failed while mirroring a crystal word, or a
+    component of the anchored crystal has two highest elements."""
 
 
 class ShapeTooLarge(CrystalError):

@@ -314,7 +314,7 @@ def test_capped_tables_change_no_charge(fresh_store, monkeypatch):
         for factors, c, _, _ in _prefix_scan(ct, heights, _energy=False):
             assert c == charge_via_selection(TensorElement(ct, factors)), factors
         stored = sum(len(state) for (t, _), state in charge_states().items() if t == ct)
-        assert stored == cap == charge_module._STORE[ct, "transitions"]
+        assert stored == cap == charge_module._STORE[ct, "registry"][None]
 
 
 def test_a_raising_step_is_never_stored(fresh_store, monkeypatch):
@@ -411,7 +411,7 @@ def test_clearing_the_store_drops_every_record(fresh_store):
     state = store[ct]
     for col in elements[-1].factors:
         state = state[col][0]
-        assert state is store[ct, state[None]]
+        assert state is store[ct, "registry"][state[None]]
 
 
 def test_every_entry_leads_to_the_registered_state(fresh_store):
@@ -426,8 +426,8 @@ def test_every_entry_leads_to_the_registered_state(fresh_store):
     assert len(stored) > 100
     for ct, entry in stored:
         nxt, inc, read = entry
-        key = nxt[None]
-        assert store[ct, key] is nxt and store[ct, key, inc] is entry
+        key, registry = nxt[None], store[ct, "registry"]
+        assert registry[key] is nxt and registry[key, inc] is entry
         assert read == field * (len(key) - 1)
 
 

@@ -1,9 +1,13 @@
+import pytest
+from util import energy_module
+
 from kncrystals import (
     CartanType,
     TensorElement,
     columns,
     combinatorial_r,
     commutor,
+    demazure_grading,
     demazure_grading_oracle,
     e,
     element,
@@ -20,6 +24,7 @@ from kncrystals import (
     phi,
     tau,
 )
+from kncrystals.errors import ComponentCorrupt, ShapeTooLarge, TargetUnreachable
 
 A1 = CartanType("A", 2)
 A2 = CartanType("A", 3)
@@ -230,6 +235,40 @@ def test_oracle_type_a_target_independent_of_element():
     for ct, heights in [(A1, (1, 1)), (A2, (2, 1)), (A2, (1, 1, 1))]:
         targets = {demazure_grading_oracle(b)[0] for b in iter_tensor_elements(ct, heights)}
         assert len(targets) == 1
+
+
+def test_grading_over_the_budget_enumerates_nothing(monkeypatch):
+    def fail(*args):
+        raise AssertionError("a vertex was enumerated")
+
+    monkeypatch.setattr(energy_module, "iter_tensor_elements", fail)
+    with pytest.raises(ShapeTooLarge):
+        demazure_grading(C3, (3, 2, 1), budget=1000)  # 2,744 vertices
+    with pytest.raises(ShapeTooLarge):
+        # 3,000,000 vertices pass, but not x rank 3,000,000
+        demazure_grading(CartanType("A", 3_000_000), (1,))
+
+
+def test_grading_with_an_extra_ground_state_raises(monkeypatch):
+    # every vertex lies in the component of its ground state, so a vertex
+    # taken for one more ground state is reached from the real one too
+    real = energy_module.is_ground_state
+    for extra in iter_tensor_elements(C2, (2, 1)):
+        if real(extra):
+            continue
+        monkeypatch.setattr(
+            energy_module, "is_ground_state", lambda b, extra=extra: b == extra or real(b)
+        )
+        with pytest.raises(ComponentCorrupt, match="reached from the ground states"):
+            demazure_grading(C2, (2, 1))
+
+
+def test_grading_with_a_ground_state_missing_raises(monkeypatch):
+    real = energy_module.is_ground_state
+    missed = next(filter(real, iter_tensor_elements(C2, (2, 1))))
+    monkeypatch.setattr(energy_module, "is_ground_state", lambda b: b != missed and real(b))
+    with pytest.raises(TargetUnreachable):
+        demazure_grading(C2, (2, 1))
 
 
 def test_oracle_exrinv_values():

@@ -265,6 +265,9 @@ def test_cli_error_exit_codes(capsys):
     assert "empty entry" in capsys.readouterr().err
     assert main(["ground-states", "-t", "A", "-n", "3", "--heights", ""]) == 2
     assert "empty entry" in capsys.readouterr().err
+    # an empty suite list names one suite, '', not all seven
+    assert main(["verify", "-t", "C", "-n", "2", "--heights", "2,1", "--suites", ""]) == 2
+    assert "unknown suite ''" in capsys.readouterr().err
     # a lambda that is not a partition of at most n parts
     for argv in (
         ["kostka", "-t", "A", "-n", "3", "--lambda", "1,2", "--mu", "2,1"],

@@ -6,6 +6,7 @@ from kncrystals import (
     CartanType,
     ShapeState,
     cut_construction,
+    demazure_grading,
     demazure_grading_oracle,
     demazure_walk,
     element,
@@ -156,14 +157,17 @@ def test_f_word_formula():
 
 
 def test_oracle_targets_are_exactly_ground_states():
-    # the definition, the per-element oracle and the recursive construction
+    # the definition, the per-element oracle and the recursive construction;
+    # the one-search grading equals the per-element oracle at every vertex
     shapes = [(C3, heights) for heights in [(1, 2), (2, 1), (1, 1), (1, 1, 2)]]
     shapes += [(ct, shape_heights(ct, mu)) for ct, mu in theorem_shapes()]
     for ct, heights in shapes:
         expected = {g.element for g in ground_states(ct, heights)}
         elems = list(iter_tensor_elements(ct, heights))
         assert set(filter(is_ground_state, elems)) == expected, (ct, heights)
-        assert {demazure_grading_oracle(b)[0] for b in elems} == expected, (ct, heights)
+        oracle = {b: demazure_grading_oracle(b) for b in elems}
+        assert {u_b for u_b, _ in oracle.values()} == expected, (ct, heights)
+        assert demazure_grading(ct, heights) == oracle, (ct, heights)
 
 
 def test_ground_states_of_many_factors():

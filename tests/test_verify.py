@@ -4,6 +4,7 @@ from importlib import import_module
 
 import pytest
 
+import kncrystals.core as core_module
 import kncrystals.kyoto as kyoto_module
 import kncrystals.verify as verify_module
 from kncrystals import (
@@ -49,7 +50,8 @@ BROKEN_ROUTES = [
     ("energy", "energy_DR", lambda b: 10**6),
     ("rmatrix", "commutor", lambda ct, l, r: (r, l, l)),
     ("involution", "e", lambda b, i: None),
-    ("oracle", "demazure_grading_oracle", lambda b: (b, 1)),
+    ("oracle", "demazure_grading",
+     lambda ct, heights, budget: {b: (b, 1) for b in iter_tensor_elements(ct, heights)}),
     ("kyoto", "cut_construction", lambda g: None),
 ]
 
@@ -63,6 +65,14 @@ def test_a_disagreeing_second_route_fails_the_suite(monkeypatch, suite, attr, br
     assert report.suites[suite]["passed"] is False
     assert report.suites[suite]["checks"] == PINNED_CHECKS[C2][suite]
     assert not report.passed
+
+
+def test_the_oracle_suite_grades_within_the_budget_verify_was_given(monkeypatch):
+    # 80 vertices x rank 2 pass the given budget but not the default one;
+    # every local table (at most 20 pairs x rank 2) passes both
+    monkeypatch.setattr(core_module, "VERTEX_BUDGET", 50)
+    report = run_verify(C2, (2, 1, 1), suites=("oracle",), budget=200)
+    assert report.suites["oracle"] == {"passed": True, "checks": 80}
 
 
 def test_an_identity_column_involution_fails_the_rmatrix_suite(monkeypatch):

@@ -40,12 +40,15 @@ def energy_rows():
 def charge_states():
     """Charge's states and their stored transitions, ``{column: entry}`` by
     ``(ct, key column)``; a type's start state is under ``(ct, None)``."""
+    states = {}
+    for key, value in charge_module._STORE.items():
+        if isinstance(key, tuple):  # ``(ct, "registry")``
+            states.update(((key[0], k), s) for k, s in value.items() if isinstance(s, dict))
+        else:
+            states[key, None] = value
     return {
-        key if isinstance(key, tuple) else (key, None): {
-            col: entry for col, entry in state.items() if col is not None
-        }
-        for key, state in charge_module._STORE.items()
-        if isinstance(state, dict)
+        key: {col: entry for col, entry in state.items() if col is not None}
+        for key, state in states.items()
     }
 
 
