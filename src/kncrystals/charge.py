@@ -27,11 +27,11 @@ columns of a type, plus one start state per type before the first factor.
 ``_STORE``: a state is a plain dict that maps a factor's column to its entry
 ``(next state, increment of the packed prefix counts, read shift)``, and
 ``None`` to its key column.  A missing transition runs the plain step
-(:func:`_step`), behind the budget check of
-:func:`kncrystals.core._checked_index`; a step that raises is never stored,
-and a type stores at most ``STEP_TABLE_CAP`` transitions.  No arm needs the
-shape: a descent in row r at factor p has the arm ``#{q >= p : h_q >= r}``
-(in type C, the split filling's doubled arm halved back).
+(:func:`_step`), behind the budget gate :func:`kncrystals.core.check_budget`
+(through ``_checked_index``); a step that raises is never stored, and a type
+stores at most ``STEP_TABLE_CAP`` transitions.  No arm needs the shape: a
+descent in row r at factor p has the arm ``#{q >= p : h_q >= r}`` (in type
+C, the split filling's doubled arm halved back).
 
 Both routes require the column heights to be weakly decreasing left to right;
 callers holding an unsorted element can reorder it with
@@ -248,8 +248,8 @@ def _step(ct, state, col):
     """``state[col]`` where no transition is stored: the plain step, stored
     while the type's stored transitions are below ``STEP_TABLE_CAP``.
 
-    The rank work is held to the budget and a factor that is not a column is
-    refused first (:func:`kncrystals.core._checked_index`), and a step that
+    The rank work passes :func:`kncrystals.core.check_budget` and a factor
+    that is not a column is refused first (``_checked_index``); a step that
     raises stores nothing.  An entry is ``(next state, increment of the
     packed prefix counts, read shift)``; the transitions that reach one
     state with one increment share one entry.

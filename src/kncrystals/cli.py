@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from . import core
 from .bench import run_bench
 from .charge import charge as charge_of
 from .core import CartanType, crystal_graph
@@ -42,7 +43,7 @@ def _heights(args, ct):
     if args.heights is not None:
         return _parse_ints(args.heights)
     # refused before mu' is built when the shape is over the vertex budget
-    return _budgeted_heights(ct, _parse_ints(args.mu), getattr(args, "budget", None))
+    return _budgeted_heights(ct, _parse_ints(args.mu))
 
 
 def _add_shape_options(sub):
@@ -125,11 +126,20 @@ def cmd_graph(args):
 
 
 def cmd_verify(args):
-    ct = _cartan(args)
-    heights = _heights(args, ct)
-    mu = _parse_ints(args.mu) if args.mu else None
-    suites = None if args.suites is None else tuple(args.suites.split(","))
-    report = run_verify(ct, heights, mu=mu, suites=suites, budget=args.budget)
+    if args.budget is not None and args.budget < 1:
+        raise ValueError(f"--budget must be at least 1, got {args.budget}")
+    default = core.VERTEX_BUDGET
+    try:
+        # every gate of this run reads it, lazily built tables included
+        if args.budget is not None:
+            core.VERTEX_BUDGET = args.budget
+        ct = _cartan(args)
+        heights = _heights(args, ct)
+        mu = _parse_ints(args.mu) if args.mu else None
+        suites = None if args.suites is None else tuple(args.suites.split(","))
+        report = run_verify(ct, heights, mu=mu, suites=suites)
+    finally:
+        core.VERTEX_BUDGET = default
     print(report.to_json() if args.json else report.to_text())
     return 0 if report.passed else 1
 

@@ -42,7 +42,7 @@ from .errors import (
     SplitImpossible,
 )
 
-#: Default cap on exhaustive tensor-product enumeration.
+#: The one cap on exhaustive work, read by :func:`check_budget` at call time.
 VERTEX_BUDGET = 5_000_000
 
 #: Single columns are level-bounded by 1; 0-arrows are Demazure iff eps_0 >= this.
@@ -556,60 +556,48 @@ def crystal_size(ct, heights):
     return _capped_size(ct, heights, math.inf)
 
 
-def check_budget(ct, heights, budget=None):
-    """The vertex count of the shape; raises ``ShapeTooLarge`` above the budget.
-
-    The count stops as soon as it passes the budget, so the check is cheap
-    for any rank and any number of factors.
-    """
-    cap = VERTEX_BUDGET if budget is None else budget
-    size = _capped_size(ct, heights, cap)
-    if size > cap:
-        shown = ", ".join(map(str, heights[:8])) + (", ..." if len(heights) > 8 else "")
-        raise ShapeTooLarge(
-            f"{len(heights)} factors of heights ({shown}) of {ct} have more than "
-            f"{cap} vertices (the budget)"
-        )
+def check_budget(ct, heights, per_vertex=1):
+    """The vertex count; the one budget gate.  Raises ``ShapeTooLarge`` when
+    vertices x ``per_vertex`` (``ct.n`` for n-entry work on every vertex)
+    exceed ``VERTEX_BUDGET``.  The count stops as soon as it passes the
+    budget, so the check is cheap for any rank and factor count, and a pass
+    is remembered per budget: a gate met again is one lookup."""
+    heights = tuple(heights)
+    key = ct, heights, per_vertex, VERTEX_BUDGET
+    size = _PASSED.get(key)
+    if size is None:
+        size = _capped_size(ct, heights, VERTEX_BUDGET)
+        if size > VERTEX_BUDGET:
+            shown = ", ".join(map(str, heights[:8])) + (", ..." if len(heights) > 8 else "")
+            raise ShapeTooLarge(
+                f"{len(heights)} factors of heights ({shown}) of {ct} have more than "
+                f"{VERTEX_BUDGET} vertices (the budget)"
+            )
+        if size * per_vertex > VERTEX_BUDGET:
+            raise ShapeTooLarge(f"{size} vertices x rank {per_vertex} of per-vertex work "
+                                f"exceed the budget {VERTEX_BUDGET}")
+        _PASSED[key] = size
     return size
 
 
-def _check_rank_work(ct, heights, budget=None):
-    """``check_budget`` for a route that does n-entry work on every vertex.
-
-    Such a route costs vertices x n, so that product is held to the budget.
-    Returns the vertex count.
-    """
-    cap = VERTEX_BUDGET if budget is None else budget
-    size = check_budget(ct, heights, budget)
-    if size * ct.n > cap:
-        raise ShapeTooLarge(
-            f"{size} vertices x rank {ct.n} of per-vertex work exceed the budget {cap}"
-        )
-    return size
-
-
-@lru_cache(maxsize=None)
-def _rank_work_within(ct, heights, budget):
-    """``_check_rank_work``, remembered once it passes: charge's steps call
-    the gate on every transition not yet stored."""
-    _check_rank_work(ct, heights, budget)
+_PASSED = {}  # (ct, heights, per_vertex, budget) of each pass -> its vertex count
 
 
 def _checked_index(ct, col, *pair):
     """The column index of ``col``'s height, after the rank work of ``pair``
-    is held to the budget; ``KeyError`` if ``col`` is not among its columns.
-    Charge's steps and energy's rows pass this gate before anything of theirs
-    goes in."""
-    _rank_work_within(ct, pair, VERTEX_BUDGET)  # before any column index is built
+    passes :func:`check_budget`; ``KeyError`` if ``col`` is not among its
+    columns.  Charge's steps and energy's rows pass this gate before
+    anything of theirs goes in."""
+    check_budget(ct, pair, ct.n)  # before any column index is built
     index = _column_index(ct, len(col))
     if col not in index:
         raise KeyError(col)
     return index
 
 
-def tensor_elements(ct, heights, budget=None):
+def tensor_elements(ct, heights):
     """All vertices of the shape, in sort-key order (the columns are sorted)."""
-    check_budget(ct, heights, budget)
+    check_budget(ct, heights)
     return list(iter_tensor_elements(ct, heights))
 
 
@@ -628,10 +616,10 @@ class CrystalGraph:
     edges: tuple  # triples (source, i, target) with target = f_i(source)
 
 
-def crystal_graph(ct, heights, include_zero=True, budget=None):
+def crystal_graph(ct, heights, include_zero=True):
     heights = tuple(heights)
     # every f_i runs on every vertex
-    _check_rank_work(ct, heights, budget)
+    check_budget(ct, heights, ct.n)
     verts = list(iter_tensor_elements(ct, heights))
     indices = list(ct.index_set) if include_zero else list(ct.classical_indices)
     edges = []

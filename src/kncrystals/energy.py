@@ -59,9 +59,9 @@ from itertools import product
 from .core import (
     DEMAZURE_LEVEL,
     TensorElement,
-    _check_rank_work,
     _checked_index,
     _column_index,
+    check_budget,
     column_content,
     column_e,
     column_eps_phi,
@@ -315,7 +315,7 @@ def _build_h(ct, h_left, h_right, components, label, image):
 @lru_cache(maxsize=None)
 def local_table(ct, h_left, h_right):
     # the column codes and the sigma walk do rank-n work on every pair
-    _check_rank_work(ct, (h_left, h_right))
+    check_budget(ct, (h_left, h_right), ct.n)
     if h_left < h_right:
         # the mirror of the module docstring: the swap's sigma, inverted;
         # a pair code of the swap is an image code here
@@ -386,7 +386,7 @@ class _Rows(dict):
     ``moved`` holds, by pair code, the code of the moving factor after
     sigma.  Both are plain dicts, filled a whole height at a time on a miss,
     ``movers`` in :func:`_chain_sum` and a row by :func:`_fill`, each behind
-    :func:`kncrystals.core._checked_index`.
+    the budget gate :func:`kncrystals.core.check_budget` (``_checked_index``).
     """
 
     def __missing__(self, key):
@@ -401,7 +401,7 @@ def _fill(ct, step, h, row, col):
     """``row[col]`` of a moving height-``h`` factor, after putting in every
     column of ``col``'s height from ``local_table``; called on a miss only,
     so a factor that is not a column fills nothing and no height fills twice.
-    """
+    The pair's rank work passes :func:`kncrystals.core.check_budget` first."""
     index = _checked_index(ct, col, h, len(col))
     # sigma's image is (l', r'): D^L meets on the left and moves on as l',
     # D^R meets on the right and moves on as r'
@@ -555,24 +555,26 @@ def demazure_grading_oracle(elem):
     raise TargetUnreachable(f"no Kyoto-highest element reachable from {elem}")
 
 
-def demazure_grading(ct, heights, budget=None):
+def demazure_grading(ct, heights):
     """``{b: (u_b, m)}`` for every vertex b of the shape, in one search.
 
     The moves of :func:`demazure_grading_oracle`, reversed and run from all
-    ground states at once: a classical f_i costs 0, and f_0 costs 1 and is
-    taken only where eps_0 >= 2 at its image, where the oracle may take e_0
-    back.  The search runs layer by layer, m = 0, 1, ...: each layer is
-    closed under the classical f_i before its f_0 steps open the next, so
-    every vertex is reached first at its least m and takes its source as
-    u_b.  Each move stays in the component of b (x) u_{Lambda_0}, whose
-    highest element is unique, so a vertex reached from two ground states
-    raises ``ComponentCorrupt``, and one never reached raises
-    ``TargetUnreachable``.
+    ground states at once, as :func:`kncrystals.kyoto.ground_states` lists
+    them: a classical f_i costs 0, and f_0 costs 1 and is taken only where
+    eps_0 >= 2 at its image, where the oracle may take e_0 back.  The search
+    runs layer by layer, m = 0, 1, ...: each layer is closed under the
+    classical f_i before its f_0 steps open the next, so every vertex is
+    reached first at its least m and takes its source as u_b.  Each move
+    stays in the component of b (x) u_{Lambda_0}, whose highest element is
+    unique, so a vertex reached from two ground states raises
+    ``ComponentCorrupt``, and one never reached raises ``TargetUnreachable``.
     """
+    from .kyoto import ground_states  # kyoto imports this module
+
     heights = tuple(heights)
     # every f_i runs on every vertex
-    size = _check_rank_work(ct, heights, budget)
-    grading = {b: (b, 0) for b in iter_tensor_elements(ct, heights) if is_ground_state(b)}
+    size = check_budget(ct, heights, ct.n)
+    grading = {g.element: (g.element, 0) for g in ground_states(ct, heights)}
     classical = ct.classical_indices
 
     def reach(b, label):

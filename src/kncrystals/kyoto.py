@@ -25,8 +25,8 @@ from functools import lru_cache
 
 from .core import (
     TensorElement,
-    _check_rank_work,
     _require_factors,
+    check_budget,
     column_eps_weight,
     column_phi_weight,
     columns,
@@ -48,7 +48,7 @@ class GroundState:
 def _columns_by_eps(ct, height):
     """eps weight -> the ``(column, phi weight)`` of every height-h column with it."""
     # every column gets two (n + 1)-entry weights, so columns x n is budgeted
-    _check_rank_work(ct, (height,))
+    check_budget(ct, (height,), ct.n)
     table = {}
     for col in columns(ct, height):
         table.setdefault(column_eps_weight(ct, col), []).append((col, column_phi_weight(ct, col)))

@@ -17,9 +17,7 @@ from operator import add, lt
 
 from .charge import _FIELD_MASK, _require_sorted, _start, _step, charge
 from .core import (
-    VERTEX_BUDGET,
     TensorElement,
-    _check_rank_work,
     check_budget,
     column_content,
     columns,
@@ -28,7 +26,7 @@ from .core import (
     weight,
 )
 from .energy import _ROWS, _chain_sum, combinatorial_r, energy_DL
-from .errors import EnergyInconsistent, ShapeTooLarge, WeightMismatch
+from .errors import EnergyInconsistent, WeightMismatch
 
 
 def conjugate(mu):
@@ -49,18 +47,18 @@ def shape_heights(ct, mu):
     return heights
 
 
-def _budgeted_heights(ct, mu, budget=None):
+def _budgeted_heights(ct, mu):
     """``shape_heights`` for a route that enumerates B_mu, budget-checked.
 
-    B_mu has mu[0] factors of at least two columns each, so at least
-    2^mu[0] vertices: a huge first part is refused before mu' is built.
+    B_mu has mu[0] factors of at least two columns each, so its first 64
+    columns alone have at least 2^64 vertices: a longer first part is held
+    to the budget on those columns before all of mu' is built.
     """
     mu = tuple(mu)
-    cap = VERTEX_BUDGET if budget is None else budget
-    if mu and mu[0] >= cap.bit_length():
-        raise ShapeTooLarge(f"mu[0] = {mu[0]}: at least 2^{mu[0]} vertices, over the budget {cap}")
+    if mu and mu[0] > 64:
+        check_budget(ct, shape_heights(ct, [min(p, 64) for p in mu]))
     heights = shape_heights(ct, mu)
-    check_budget(ct, heights, budget)
+    check_budget(ct, heights)
     return heights
 
 
@@ -203,18 +201,18 @@ def _prefix_scan(ct, heights, _energy=True):
     return scan.walk(0, _start(ct), 0, 0, 0 if _energy else None, (0,) * ct.n)
 
 
-def macdonald_p_q0(ct, mu, budget=None):
+def macdonald_p_q0(ct, mu):
     """P_mu(x; q, 0) as the charge generating function over B_mu."""
-    heights = _budgeted_heights(ct, mu, budget)
-    _check_rank_work(ct, heights, budget)  # an n-entry weight at every scan node
+    heights = _budgeted_heights(ct, mu)
+    check_budget(ct, heights, ct.n)  # an n-entry weight at every scan node
     return QXPolynomial.from_dict(
         Counter((c, wt) for _, c, _, wt in _prefix_scan(ct, heights, _energy=False))
     )
 
 
-def highest_weight_elements(ct, heights, budget=None):
+def highest_weight_elements(ct, heights):
     """The classically highest elements of the product, lazily, budget-checked now."""
-    _check_rank_work(ct, heights, budget)
+    check_budget(ct, heights, ct.n)
     return filter(is_classical_highest, iter_tensor_elements(ct, heights))
 
 

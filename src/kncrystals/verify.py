@@ -14,7 +14,7 @@ from .charge import charge, charge_via_selection
 from .core import (
     CartanType,
     TensorElement,
-    _check_rank_work,
+    check_budget,
     column_involution,
     e,
     eps,
@@ -47,7 +47,7 @@ def _suite_theorem(ct, heights):
     return worst == 0, checks, worst
 
 
-def _suite_charge(ct, heights, budget):
+def _suite_charge(ct, heights):
     for b in iter_tensor_elements(ct, heights):
         c0 = charge(b)
         yield c0 == charge_via_selection(b)
@@ -60,7 +60,7 @@ def _suite_charge(ct, heights, budget):
             yield eb is not None and charge(eb) == c0 - 1
 
 
-def _suite_energy(ct, heights, budget):
+def _suite_energy(ct, heights):
     for b in iter_tensor_elements(ct, heights):
         yield energy_DR(b) == energy_DL(tau(b))
         if eps(b, 0) >= 1:
@@ -73,7 +73,7 @@ def _suite_energy(ct, heights, budget):
                 yield energy_DL(eb) == energy_DL(b) + 1
 
 
-def _suite_rmatrix(ct, heights, budget):
+def _suite_rmatrix(ct, heights):
     """Pairwise checks over every ordered pair of heights in the shape."""
     for hl, hr in sorted({(a, b) for a in heights for b in heights}):
         table = local_table(ct, hl, hr)
@@ -106,7 +106,7 @@ def _suite_rmatrix(ct, heights, budget):
                     yield local_energy(ct_a, l, r) == value
 
 
-def _suite_involution(ct, heights, budget):
+def _suite_involution(ct, heights):
     for b in iter_tensor_elements(ct, heights):
         sb = lusztig_involution(b)
         yield lusztig_involution(sb) == b
@@ -116,12 +116,12 @@ def _suite_involution(ct, heights, budget):
                 yield e(sb, ct.istar(i)) == lusztig_involution(fb)
 
 
-def _suite_oracle(ct, heights, budget):
-    for b, (u_b, m) in demazure_grading(ct, heights, budget).items():
+def _suite_oracle(ct, heights):
+    for b, (u_b, m) in demazure_grading(ct, heights).items():
         yield m == energy_DR(b) - energy_DR(u_b)
 
 
-def _suite_kyoto(ct, heights, budget):
+def _suite_kyoto(ct, heights):
     states = ground_states(ct, heights)
     if ct.family == "A":
         yield len(states) == 1
@@ -133,7 +133,7 @@ def _suite_kyoto(ct, heights, budget):
 
 
 # Every suite but theorem yields one bool per check; run_verify counts them.
-# Each is given the budget that run_verify held the shape to.
+# Each builds what it needs behind core.check_budget, the one budget gate.
 _SUITES = {
     "charge": _suite_charge,
     "energy": _suite_energy,
@@ -145,7 +145,7 @@ _SUITES = {
 SUITE_NAMES = ("theorem",) + tuple(_SUITES)
 
 
-def run_verify(ct, heights, mu=None, suites=None, budget=None):
+def run_verify(ct, heights, mu=None, suites=None):
     """Run the selected suites over one shape and assemble a report.
 
     Unknown suite names raise ``ValueError`` before any suite runs.
@@ -156,7 +156,7 @@ def run_verify(ct, heights, mu=None, suites=None, budget=None):
         if name not in SUITE_NAMES:
             raise ValueError(f"unknown suite {name!r}")
     # the weights and the per-index suites do rank-n work on every vertex
-    size = _check_rank_work(ct, heights, budget)
+    size = check_budget(ct, heights, ct.n)
     t0 = time.perf_counter()
     report_suites = {}
     worst = 0
@@ -164,7 +164,7 @@ def run_verify(ct, heights, mu=None, suites=None, budget=None):
         if name == "theorem":
             passed, checks, worst = _suite_theorem(ct, heights)
         else:
-            tally = Counter(_SUITES[name](ct, heights, budget))
+            tally = Counter(_SUITES[name](ct, heights))
             passed, checks = not tally[False], tally[True] + tally[False]
         report_suites[name] = {"passed": passed, "checks": checks}
     elapsed = time.perf_counter() - t0

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kncrystals
+import kncrystals.core as core_module
 from kncrystals import (
     CartanType,
     TensorElement,
@@ -363,9 +364,11 @@ def test_crystal_graph_edges_invert():
         assert e(v, i) == u
 
 
-def test_vertex_budget():
-    with pytest.raises(ShapeTooLarge):
-        tensor_elements(C3, (3, 3, 3), budget=100)
+def test_vertex_budget(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(core_module, "VERTEX_BUDGET", 100)
+        with pytest.raises(ShapeTooLarge):
+            tensor_elements(C3, (3, 3, 3))
     with pytest.raises(ShapeTooLarge):
         tensor_elements(CartanType("A", 30), (15,))
     for ct, k in ((C3, 0), (C3, 4), (A2, 3)):
@@ -410,7 +413,7 @@ def test_cartan_hash_is_the_same_in_every_interpreter():
     assert repr(CartanType("C", 4)) == "CartanType(family='C', n=4)"
 
 
-def test_budget_check_stops_at_the_cap():
+def test_budget_check_stops_at_the_cap(monkeypatch):
     # C(10**12, 10**5) alone has about 2.4 million digits
     t0 = time.perf_counter()
     for ct in (CartanType("A", 10**12), CartanType("C", 10**12)):
@@ -420,18 +423,21 @@ def test_budget_check_stops_at_the_cap():
     with pytest.raises(ShapeTooLarge):
         check_budget(C2, (1,) * 10**5)
     assert time.perf_counter() - t0 < 1.0
-    assert check_budget(C3, (3, 2, 1), budget=14 * 14 * 6) == 14 * 14 * 6
+    monkeypatch.setattr(core_module, "VERTEX_BUDGET", 14 * 14 * 6)
+    assert check_budget(C3, (3, 2, 1)) == 14 * 14 * 6
+    monkeypatch.setattr(core_module, "VERTEX_BUDGET", 14 * 14 * 6 - 1)
     with pytest.raises(ShapeTooLarge):
-        check_budget(C3, (3, 2, 1), budget=14 * 14 * 6 - 1)
+        check_budget(C3, (3, 2, 1))
     with pytest.raises(ValueError):
         check_budget(C3, (1,) * 30 + (4,))
 
 
-def test_budget_message_names_few_heights():
+def test_budget_message_names_few_heights(monkeypatch):
     with pytest.raises(ShapeTooLarge) as info:
         check_budget(CartanType("A", 3), (1,) * 100000)
     message = str(info.value)
     assert len(message) < 300
     assert "100000 factors of heights (1, 1, 1, 1, 1, 1, 1, 1, ...)" in message
+    monkeypatch.setattr(core_module, "VERTEX_BUDGET", 10)
     with pytest.raises(ShapeTooLarge, match=r"2 factors of heights \(3, 2\) of C3"):
-        check_budget(C3, (3, 2), budget=10)
+        check_budget(C3, (3, 2))

@@ -1,6 +1,8 @@
 import pytest
 from util import energy_module
 
+import kncrystals.core as core_module
+import kncrystals.kyoto as kyoto_module
 from kncrystals import (
     CartanType,
     TensorElement,
@@ -25,6 +27,7 @@ from kncrystals import (
     tau,
 )
 from kncrystals.errors import ComponentCorrupt, ShapeTooLarge, TargetUnreachable
+from kncrystals.kyoto import GroundState
 
 A1 = CartanType("A", 2)
 A2 = CartanType("A", 3)
@@ -242,8 +245,10 @@ def test_grading_over_the_budget_enumerates_nothing(monkeypatch):
         raise AssertionError("a vertex was enumerated")
 
     monkeypatch.setattr(energy_module, "iter_tensor_elements", fail)
-    with pytest.raises(ShapeTooLarge):
-        demazure_grading(C3, (3, 2, 1), budget=1000)  # 2,744 vertices
+    with monkeypatch.context() as m:
+        m.setattr(core_module, "VERTEX_BUDGET", 1000)
+        with pytest.raises(ShapeTooLarge):
+            demazure_grading(C3, (3, 2, 1))  # 2,744 vertices
     with pytest.raises(ShapeTooLarge):
         # 3,000,000 vertices pass, but not x rank 3,000,000
         demazure_grading(CartanType("A", 3_000_000), (1,))
@@ -252,21 +257,26 @@ def test_grading_over_the_budget_enumerates_nothing(monkeypatch):
 def test_grading_with_an_extra_ground_state_raises(monkeypatch):
     # every vertex lies in the component of its ground state, so a vertex
     # taken for one more ground state is reached from the real one too
-    real = energy_module.is_ground_state
+    real = kyoto_module.ground_states
+    states = real(C2, (2, 1))
     for extra in iter_tensor_elements(C2, (2, 1)):
-        if real(extra):
+        if extra in {g.element for g in states}:
             continue
         monkeypatch.setattr(
-            energy_module, "is_ground_state", lambda b, extra=extra: b == extra or real(b)
+            kyoto_module, "ground_states",
+            lambda ct, heights, extra=extra: real(ct, heights) + [GroundState(extra, 0)],
         )
         with pytest.raises(ComponentCorrupt, match="reached from the ground states"):
             demazure_grading(C2, (2, 1))
 
 
 def test_grading_with_a_ground_state_missing_raises(monkeypatch):
-    real = energy_module.is_ground_state
-    missed = next(filter(real, iter_tensor_elements(C2, (2, 1))))
-    monkeypatch.setattr(energy_module, "is_ground_state", lambda b: b != missed and real(b))
+    real = kyoto_module.ground_states
+    missed = real(C2, (2, 1))[0].element
+    monkeypatch.setattr(
+        kyoto_module, "ground_states",
+        lambda ct, heights: [g for g in real(ct, heights) if g.element != missed],
+    )
     with pytest.raises(TargetUnreachable):
         demazure_grading(C2, (2, 1))
 

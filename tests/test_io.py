@@ -254,6 +254,15 @@ def test_cli_verify_budget(capsys):
     assert "budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_cli_verify_refuses_a_budget_below_one(capsys, budget):
+    built = columns.cache_info().currsize
+    rc = main(["verify", "-t", "C", "-n", "3", "--heights", "3,3", "--budget", budget])
+    assert rc == 2
+    assert f"--budget must be at least 1, got {budget}" in capsys.readouterr().err
+    assert columns.cache_info().currsize == built
+
+
 def test_cli_error_exit_codes(capsys):
     assert main(["charge", "C2; 1,-1"]) == 2
     capsys.readouterr()

@@ -1,6 +1,7 @@
 import pytest
 from util import partitions_of
 
+import kncrystals.core as core_module
 import kncrystals.qpoly as qpoly_module
 from kncrystals import (
     CartanType,
@@ -18,7 +19,8 @@ from kncrystals import (
     shape_heights,
     sort_via_rmatrix,
 )
-from kncrystals.qpoly import _check_rank_work, highest_weight_elements
+from kncrystals.core import check_budget
+from kncrystals.qpoly import highest_weight_elements
 from kncrystals.errors import EnergyInconsistent, ShapeTooLarge, WeightMismatch
 
 A1 = CartanType("A", 2)
@@ -168,7 +170,7 @@ def test_sort_via_rmatrix_checks_energy_without_assert(monkeypatch):
         sort_via_rmatrix(element(C3, [(1,), (2, 3)]))
 
 
-def test_rank_work_is_held_to_the_budget():
+def test_rank_work_is_held_to_the_budget(monkeypatch):
     # 3,555,922 columns pass the vertex budget; n entries on each do not
     huge = CartanType("A", 3555922)
     for run in (
@@ -181,6 +183,7 @@ def test_rank_work_is_held_to_the_budget():
             run()
     # the largest nearby shape stays well inside: 531,441 vertices x 3
     a3 = CartanType("A", 3)
-    _check_rank_work(a3, shape_heights(a3, (12,)))
+    check_budget(a3, shape_heights(a3, (12,)), a3.n)
+    monkeypatch.setattr(core_module, "VERTEX_BUDGET", 3 * 531441 - 1)
     with pytest.raises(ShapeTooLarge):
-        _check_rank_work(a3, shape_heights(a3, (12,)), budget=3 * 531441 - 1)
+        check_budget(a3, shape_heights(a3, (12,)), a3.n)

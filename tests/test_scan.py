@@ -7,6 +7,7 @@ from importlib import import_module
 import pytest
 from util import clear_charge_states, theorem_shapes
 
+import kncrystals.core as core_module
 import kncrystals.qpoly as qpoly_module
 from kncrystals import (
     CartanType,
@@ -76,16 +77,18 @@ def test_budget_is_checked_before_any_scan_work(monkeypatch):
 
     monkeypatch.setattr(qpoly_module, "_prefix_scan", fail)
     monkeypatch.setattr(qpoly_module, "iter_tensor_elements", fail)
+    monkeypatch.setattr(core_module, "VERTEX_BUDGET", 10)
     with pytest.raises(ShapeTooLarge):
-        macdonald_p_q0(C3, (2, 1), budget=10)
+        macdonald_p_q0(C3, (2, 1))
     with pytest.raises(ShapeTooLarge):
-        list(highest_weight_elements(C3, (2, 1), budget=10))
+        list(highest_weight_elements(C3, (2, 1)))
 
 
-def test_highest_weight_elements_checks_the_budget_when_called():
+def test_highest_weight_elements_checks_the_budget_when_called(monkeypatch):
     # not at the first next(): the check is not deferred to iteration
+    monkeypatch.setattr(core_module, "VERTEX_BUDGET", 10)
     with pytest.raises(ShapeTooLarge):
-        highest_weight_elements(C3, (2, 1), budget=10)
+        highest_weight_elements(C3, (2, 1))
 
 
 def test_macdonald_runs_no_energy_chain(monkeypatch):

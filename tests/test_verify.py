@@ -1,5 +1,6 @@
 """The verification suites: check counts, failing second routes, input guards."""
 
+import json
 from importlib import import_module
 
 import pytest
@@ -51,7 +52,7 @@ BROKEN_ROUTES = [
     ("rmatrix", "commutor", lambda ct, l, r: (r, l, l)),
     ("involution", "e", lambda b, i: None),
     ("oracle", "demazure_grading",
-     lambda ct, heights, budget: {b: (b, 1) for b in iter_tensor_elements(ct, heights)}),
+     lambda ct, heights: {b: (b, 1) for b in iter_tensor_elements(ct, heights)}),
     ("kyoto", "cut_construction", lambda g: None),
 ]
 
@@ -67,12 +68,30 @@ def test_a_disagreeing_second_route_fails_the_suite(monkeypatch, suite, attr, br
     assert not report.passed
 
 
-def test_the_oracle_suite_grades_within_the_budget_verify_was_given(monkeypatch):
+def test_the_oracle_suite_grades_within_the_budget_verify_was_given(monkeypatch, capsys):
     # 80 vertices x rank 2 pass the given budget but not the default one;
     # every local table (at most 20 pairs x rank 2) passes both
     monkeypatch.setattr(core_module, "VERTEX_BUDGET", 50)
-    report = run_verify(C2, (2, 1, 1), suites=("oracle",), budget=200)
-    assert report.suites["oracle"] == {"passed": True, "checks": 80}
+    rc = main(["verify", "-t", "C", "-n", "2", "--heights", "2,1,1", "--suites", "oracle",
+               "--budget", "200", "--json"])
+    assert rc == 0, capsys.readouterr().err
+    report = json.loads(capsys.readouterr().out)
+    assert report["suites"]["oracle"] == {"passed": True, "checks": 80}
+    assert core_module.VERTEX_BUDGET == 50
+
+
+# The gates of lazily built tables read the budget that verify --budget set:
+# 400 vertices x rank 20 pass 10,000 but not 1,000.  A20 is met by no other
+# test, so no table or row of it is warm when this runs, in either file order.
+@pytest.mark.parametrize("suite", ["energy", "oracle"])
+def test_every_gate_of_a_verify_run_reads_its_budget(monkeypatch, capsys, suite):
+    monkeypatch.setattr(core_module, "VERTEX_BUDGET", 1000)
+    argv = ["verify", "-t", "A", "-n", "20", "--heights", "1,1", "--suites", suite]
+    assert main(argv + ["--budget", "10000"]) == 0, capsys.readouterr().err
+    assert core_module.VERTEX_BUDGET == 1000
+    assert main(argv + ["--budget", "399"]) == 2
+    assert "more than 399 vertices" in capsys.readouterr().err
+    assert core_module.VERTEX_BUDGET == 1000
 
 
 def test_an_identity_column_involution_fails_the_rmatrix_suite(monkeypatch):
