@@ -21,6 +21,7 @@ from .core import (
     element,
     eps,
     f,
+    involution_map,
     is_classical_highest,
     iter_tensor_elements,
     lusztig_involution,

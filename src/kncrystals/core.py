@@ -478,7 +478,8 @@ def lusztig_involution(elem):
     """The involution S on the classical component of the element.
 
     Mirrors the raising word: if b = f_{i_1}...f_{i_m}(highest), then
-    S(b) = e_{i_1*}...e_{i_m*}(lowest).
+    S(b) = e_{i_1*}...e_{i_m*}(lowest).  The per-element route:
+    :func:`involution_map` maps a whole shape in one walk and must agree.
     """
     ct = elem.cartan
     high, path = classical_highest(elem)
@@ -630,3 +631,42 @@ def crystal_graph(ct, heights, include_zero=True):
                 edges.append((v, i, w))
     return CrystalGraph(ct, heights, include_zero, tuple(verts), tuple(edges))
 
+
+def involution_map(ct, heights):
+    """``{b: S(b)}`` on every vertex of the shape, in one walk.
+
+    Each classical component starts at its highest element h, with S(h) =
+    ``classical_lowest(h)``, and the walk takes f_i from b in lockstep with
+    e_{i*} from S(b): S(f_i b) = e_{i*} S(b).  ``ComponentCorrupt`` is raised
+    where just one of the two is defined, where a vertex is reached with two
+    images, where weight(S(b)) is not w_0 weight(b) (the content reversed in
+    type A, negated in type C), and for a vertex the walk misses.
+    """
+    heights = tuple(heights)
+    # every f_i and e_i runs on every vertex
+    size = check_budget(ct, heights, ct.n)
+    w0 = (lambda m: m[::-1]) if ct.family == "A" else (lambda m: tuple(-x for x in m))
+    duals = [(i, ct.istar(i)) for i in ct.classical_indices]
+    highest = filter(is_classical_highest, iter_tensor_elements(ct, heights))
+    stack = [(h, classical_lowest(h)[0]) for h in highest]
+    image = {}
+    while stack:
+        b, sb = stack.pop()
+        old = image.get(b)
+        if old is not None:
+            if old != sb:
+                raise ComponentCorrupt(f"{b} is reached with the images {old} and {sb}")
+            continue
+        if weight(sb) != w0(weight(b)):
+            raise ComponentCorrupt(f"the image {sb} of {b} has the wrong weight")
+        image[b] = sb
+        for i, j in duals:
+            fb, esb = f(b, i), e(sb, j)
+            if (fb is None) != (esb is None):
+                raise ComponentCorrupt(f"f_{i} of {b} and e_{j} of {sb} are not both defined")
+            if fb is not None:
+                stack.append((fb, esb))
+    if len(image) != size:
+        missed = next(b for b in iter_tensor_elements(ct, heights) if b not in image)
+        raise ComponentCorrupt(f"the walk from the classical highest elements misses {missed}")
+    return image

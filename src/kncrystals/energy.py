@@ -365,6 +365,7 @@ def commutor(ct, left, right):
     """The crystal commutor S(S(right) (x) S(left)) on a pair of columns.
 
     An independent construction of the R-matrix; the two must agree pointwise.
+    Per pair, through ``lusztig_involution``; the ``rmatrix`` suite reads ``involution_map``.
     """
     swapped = (column_involution(ct, right), column_involution(ct, left))
     return lusztig_involution(TensorElement(ct, swapped)).factors

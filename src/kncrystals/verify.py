@@ -19,12 +19,12 @@ from .core import (
     e,
     eps,
     f,
+    involution_map,
     iter_tensor_elements,
     lusztig_involution,
     phi,
 )
 from .energy import (
-    commutor,
     demazure_grading,
     energy_DL,
     energy_DR,
@@ -77,17 +77,18 @@ def _suite_rmatrix(ct, heights):
     """Pairwise checks over every ordered pair of heights in the shape."""
     for hl, hr in sorted({(a, b) for a in heights for b in heights}):
         table = local_table(ct, hl, hr)
+        involution = involution_map(ct, (hr, hl))  # S on all of B_hr (x) B_hl
         gl, gr = tuple(range(1, hl + 1)), tuple(range(1, hr + 1))
         yield table.sigma[(gl, gr)] == (gr, gl)
         yield table.h[(gl, gr)] == 0
         for (l, r), (l2, r2) in table.sigma.items():
             pair = TensorElement(ct, (l, r))
             image = TensorElement(ct, (l2, r2))
-            yield commutor(ct, l, r) == (l2, r2)
+            sr, sl = column_involution(ct, r), column_involution(ct, l)
+            # the commutor S(S(r) (x) S(l)) equals sigma
+            yield involution[TensorElement(ct, (sr, sl))].factors == (l2, r2)
             # H(b2 (x) b1) = H(S(b1) (x) S(b2))
-            yield local_energy(ct, l, r) == local_energy(
-                ct, column_involution(ct, r), column_involution(ct, l)
-            )
+            yield local_energy(ct, l, r) == local_energy(ct, sr, sl)
             for i in ct.index_set:
                 # sigma commutes with f_i, and H is constant along classical f_i
                 fp = f(pair, i)
@@ -148,10 +149,11 @@ SUITE_NAMES = ("theorem",) + tuple(_SUITES)
 def run_verify(ct, heights, mu=None, suites=None):
     """Run the selected suites over one shape and assemble a report.
 
-    Unknown suite names raise ``ValueError`` before any suite runs.
+    Unknown suite names raise ``ValueError`` before any suite runs; a name
+    given twice runs once, in the place it is first given.
     """
     heights = tuple(heights)
-    wanted = SUITE_NAMES if suites is None else tuple(suites)
+    wanted = SUITE_NAMES if suites is None else tuple(dict.fromkeys(suites))
     for name in wanted:
         if name not in SUITE_NAMES:
             raise ValueError(f"unknown suite {name!r}")

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from util import theorem_shapes
 
 import kncrystals
 import kncrystals.core as core_module
@@ -27,8 +28,10 @@ from kncrystals import (
     element,
     eps,
     f,
+    involution_map,
     lusztig_involution,
     phi,
+    shape_heights,
     split_column,
     tensor_elements,
     validate_column,
@@ -43,6 +46,7 @@ from kncrystals.core import (
 )
 from kncrystals.errors import (
     AdmissibilityViolation,
+    ComponentCorrupt,
     NotIncreasing,
     ShapeTooLarge,
 )
@@ -343,6 +347,81 @@ def test_involution_is_involution_and_flips_edges():
                 fb = f(b, i)
                 if fb is not None:
                     assert lusztig_involution(fb) == e(sb, ct.istar(i))
+
+
+def _pair_shapes(ct, heights):
+    return [(ct, (a, b)) for a in heights for b in heights]
+
+
+def test_involution_map_is_the_per_element_involution():
+    shapes = [(ct, shape_heights(ct, mu)) for ct, mu in theorem_shapes()]
+    shapes += _pair_shapes(C3, (3, 2, 1)) + _pair_shapes(CartanType("A", 6), (3, 2, 1))
+    checked = 0
+    for ct, heights in shapes:
+        image = involution_map(ct, heights)
+        assert len(image) == crystal_size(ct, heights)
+        for b, sb in image.items():
+            assert sb == lusztig_involution(b), b
+        checked += len(image)
+    assert checked == 2181 + 1156 + 1681
+
+
+def _redirected_edges(ct, heights):
+    """Every (x, i, y) with y a vertex of the weight of e_i(x) other than e_i(x)."""
+    verts = list(iter_tensor_elements(ct, heights))
+    for x in verts:
+        for i in ct.classical_indices:
+            y = e(x, i)
+            if y is not None:
+                yield from ((x, i, z) for z in verts if z != y and weight(z) == weight(y))
+
+
+def test_involution_map_with_a_redirected_edge_raises(monkeypatch):
+    real = core_module.e
+    cases = list(_redirected_edges(C2, (2, 1)))
+    caught = []
+    for x, i, z in cases:
+        redirected = lambda b, j, x=x, i=i, z=z: z if (b, j) == (x, i) else real(b, j)
+        monkeypatch.setattr(core_module, "e", redirected)
+        with pytest.raises(ComponentCorrupt) as info:
+            involution_map(C2, (2, 1))
+        caught.append(str(info.value))
+    # the image keeps its weight, so the lockstep or a second path finds it
+    assert len(cases) == 26
+    assert sum("reached with the images" in m for m in caught) == 5
+    assert sum("not both defined" in m for m in caught) == 21
+
+
+def test_involution_map_names_each_corruption(monkeypatch):
+    real_e, real_highest = core_module.e, core_module.is_classical_highest
+    x = element(C2, [(1, 2), (2,)])
+    with monkeypatch.context() as m:
+        m.setattr(core_module, "e", lambda b, j: None if (b, j) == (x, 1) else real_e(b, j))
+        with pytest.raises(ComponentCorrupt, match="not both defined"):
+            involution_map(C2, (2, 1))
+    with monkeypatch.context() as m:
+        m.setattr(core_module, "classical_lowest", lambda b: (b, ()))
+        with pytest.raises(ComponentCorrupt, match="wrong weight"):
+            involution_map(C2, (2, 1))
+    with monkeypatch.context() as m:
+        skipped = element(C2, [(2, -2), (1,)])  # the highest element of weight (1, 0)
+        m.setattr(core_module, "is_classical_highest", lambda b: b != skipped and real_highest(b))
+        with pytest.raises(ComponentCorrupt, match="misses"):
+            involution_map(C2, (2, 1))
+
+
+def test_involution_map_over_the_budget_enumerates_nothing(monkeypatch):
+    def fail(*args):
+        raise AssertionError("a vertex was enumerated")
+
+    monkeypatch.setattr(core_module, "iter_tensor_elements", fail)
+    with monkeypatch.context() as m:
+        m.setattr(core_module, "VERTEX_BUDGET", 1000)
+        with pytest.raises(ShapeTooLarge):
+            involution_map(C3, (3, 2, 1))  # 2,744 vertices
+    with pytest.raises(ShapeTooLarge):
+        # 3,000,000 vertices pass, but not x rank 3,000,000
+        involution_map(CartanType("A", 3_000_000), (1,))
 
 
 def test_crystal_graph_examples():

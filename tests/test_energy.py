@@ -18,6 +18,7 @@ from kncrystals import (
     energy_report,
     eps,
     f,
+    involution_map,
     is_demazure_arrow,
     iter_tensor_elements,
     local_energy,
@@ -26,6 +27,7 @@ from kncrystals import (
     phi,
     tau,
 )
+from kncrystals.core import column_involution
 from kncrystals.errors import ComponentCorrupt, ShapeTooLarge, TargetUnreachable
 from kncrystals.kyoto import GroundState
 
@@ -118,6 +120,19 @@ def test_commutor_equals_r_matrix():
         for l in columns(ct, hl):
             for r in columns(ct, hr):
                 assert commutor(ct, l, r) == combinatorial_r(ct, l, r)
+
+
+def test_the_commutor_read_off_the_involution_map_is_the_per_pair_commutor():
+    # the rmatrix suite reads the commutor off the map of each B_hr (x) B_hl
+    for ct in (C3, A5):
+        for hl in (3, 2, 1):
+            for hr in (3, 2, 1):
+                involution = involution_map(ct, (hr, hl))
+                for l in columns(ct, hl):
+                    for r in columns(ct, hr):
+                        swapped = (column_involution(ct, r), column_involution(ct, l))
+                        mapped = involution[TensorElement(ct, swapped)].factors
+                        assert mapped == commutor(ct, l, r), (ct, l, r)
 
 
 def test_sigma_commutes_with_all_operators():

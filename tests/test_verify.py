@@ -49,7 +49,8 @@ def test_every_suite_check_count_is_pinned(ct):
 BROKEN_ROUTES = [
     ("charge", "charge_via_selection", lambda b: -1),
     ("energy", "energy_DR", lambda b: 10**6),
-    ("rmatrix", "commutor", lambda ct, l, r: (r, l, l)),
+    ("rmatrix", "involution_map",
+     lambda ct, heights: {b: b for b in iter_tensor_elements(ct, heights)}),
     ("involution", "e", lambda b, i: None),
     ("oracle", "demazure_grading",
      lambda ct, heights: {b: (b, 1) for b in iter_tensor_elements(ct, heights)}),
@@ -108,6 +109,18 @@ def test_a_ground_state_test_missing_one_state_fails_the_kyoto_suite(monkeypatch
     monkeypatch.setattr(verify_module, "is_ground_state", lambda b: b != missed and real(b))
     report = run_verify(C2, (2, 1), suites=("kyoto",))
     assert report.suites["kyoto"] == {"passed": False, "checks": PINNED_CHECKS[C2]["kyoto"]}
+
+
+def test_a_suite_named_twice_runs_once(monkeypatch):
+    calls = []
+    real = verify_module._SUITES["rmatrix"]
+    monkeypatch.setitem(
+        verify_module._SUITES, "rmatrix", lambda ct, heights: calls.append(1) or real(ct, heights)
+    )
+    report = run_verify(C2, (2, 1), suites=("rmatrix", "charge", "rmatrix"))
+    assert len(calls) == 1
+    assert list(report.suites) == ["rmatrix", "charge"]
+    assert report.suites["rmatrix"] == {"passed": True, "checks": PINNED_CHECKS[C2]["rmatrix"]}
 
 
 def _theorem_must_not_run(*args, **kwargs):
