@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import random
-import statistics
 import time
 from dataclasses import asdict, dataclass
 
@@ -52,6 +51,8 @@ def run_bench(ct, heights, trials=10_000, seed=0, repeats=3):
     Every sampled element is also checked for D = -charge; the ratio is
     reported without asserting a threshold.
     """
+    import statistics  # here, not at module level: it pulls in fractions and decimal
+
     if trials < 1 or repeats < 1:
         raise ValueError(f"trials ({trials}) and repeats ({repeats}) must be >= 1")
     heights = tuple(heights)

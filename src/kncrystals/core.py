@@ -24,13 +24,19 @@ to top, i.e. b(k) (x) ... (x) b(1).  The reading direction is a convention
 choice; this one is validated by the closure test in the test suite (the set
 of admissible columns of each height must be closed under all classical
 operators and form a single connected component).
+
+Each (type, index) has one table, filled an item at a time on first sight,
+from a box (a letter) or a column to its (eps, phi, f target, e target): a
+box's from the box operators, a column's from the per-column rules
+``column_eps_phi``, ``column_f`` and ``column_e``.  ``_signature`` is the one
+signature rule; it reads these entries for the boxes of a column and for
+the factors of an element alike.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from itertools import repeat
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -147,19 +153,44 @@ def _box_e(ct, i, x):
     return n if x == -n else None
 
 
-def _signature(pairs):
-    """Reduce the +/- word of (eps, phi) pairs listed left to right.
+class _Lazy(dict):
+    """A dict that fills a missing key with ``fill(key)`` on first sight."""
 
-    Returns (eps, phi, f_index, e_index) where the indices say which entry
-    of ``pairs`` the lowering/raising operator acts on (None if undefined).
-    Only counts are kept: an entry's '+'s first cancel the surviving '-'s,
-    the rightmost surviving '+' belongs to the last entry left with one,
-    and the leftmost surviving '-' to the entry that last pushed '-'s onto
-    an empty stack.
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+def _entry(ct, i, item):
+    """(eps, phi, f target, e target) of a box (a letter) or a column under i."""
+    if isinstance(item, int):
+        down, up = _box_f(ct, i, item), _box_e(ct, i, item)
+        return int(up is not None), int(down is not None), down, up
+    return (*column_eps_phi.__wrapped__(ct, i, item),
+            column_f.__wrapped__(ct, i, item), column_e.__wrapped__(ct, i, item))
+
+
+#: (ct, i) -> the table of every box and column met so far under index i
+_TABLES = _Lazy(lambda key: _Lazy(lambda item: _entry(*key, item)))
+
+
+def _signature(table, items):
+    """Reduce the +/- word of ``items`` listed left to right; the one signature rule.
+
+    Each item's (eps, phi) is read from its ``table`` entry.  Returns (eps,
+    phi, f_index, e_index) where the indices say which item the lowering /
+    raising operator acts on (None if undefined).  Only counts are kept: an
+    item's '+'s first cancel the surviving '-'s, the rightmost surviving '+'
+    belongs to the last item left with one, and the leftmost surviving '-'
+    to the item that last pushed '-'s onto an empty stack.
     """
     eps = phi = 0
     f_idx = e_idx = None
-    for idx, (e, p) in enumerate(pairs):
+    for idx, item in enumerate(items):
+        e, p, _, _ = table[item]
         if p > eps:
             phi += p - eps
             f_idx = idx
@@ -173,14 +204,13 @@ def _signature(pairs):
     return eps, phi, f_idx, e_idx if eps else None
 
 
-def _box_signature(ct, i, col):
-    """The boxes of a column read bottom to top, and their reduced signature."""
-    boxes = tuple(reversed(col))
-    pairs = [
-        (int(_box_e(ct, i, x) is not None), int(_box_f(ct, i, x) is not None))
-        for x in boxes
-    ]
-    return boxes, _signature(pairs)
+def _replace(table, items, slot):
+    """``items`` with the one f (slot 2) or e (slot 3) acts on replaced by
+    its target from ``table``; None where the operator is undefined."""
+    idx = _signature(table, items)[slot]
+    if idx is None:
+        return None
+    return items[:idx] + (table[items[idx]][slot],) + items[idx + 1 :]
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +344,7 @@ def column_eps_phi(ct, i, col):
             eps = int(1 in col)
             phi = int(-1 in col)
         return eps, phi
-    return _box_signature(ct, i, col)[1][:2]
+    return _signature(_TABLES[ct, i], col[::-1])[:2]
 
 
 @lru_cache(maxsize=None)
@@ -327,12 +357,8 @@ def column_f(ct, i, col):
         if -1 in col:
             return sort_letters(ct, [x if x != -1 else 1 for x in col])
         return None
-    boxes, (_, _, f_idx, _) = _box_signature(ct, i, col)
-    if f_idx is None:
-        return None
-    new = list(boxes)
-    new[f_idx] = _box_f(ct, i, new[f_idx])
-    return sort_letters(ct, new)
+    new = _replace(_TABLES[ct, i], col[::-1], 2)
+    return None if new is None else sort_letters(ct, new)
 
 
 @lru_cache(maxsize=None)
@@ -345,12 +371,8 @@ def column_e(ct, i, col):
         if 1 in col:
             return sort_letters(ct, [x if x != 1 else -1 for x in col])
         return None
-    boxes, (_, _, _, e_idx) = _box_signature(ct, i, col)
-    if e_idx is None:
-        return None
-    new = list(boxes)
-    new[e_idx] = _box_e(ct, i, new[e_idx])
-    return sort_letters(ct, new)
+    new = _replace(_TABLES[ct, i], col[::-1], 3)
+    return None if new is None else sort_letters(ct, new)
 
 
 def column_eps_weight(ct, col):
@@ -402,36 +424,24 @@ def element(ct, cols):
     return TensorElement(ct, cols)
 
 
-def _element_signature(elem, i):
-    """(eps_i, phi_i, f_i factor, e_i factor) by the tensor rule on the columns."""
-    return _signature(map(column_eps_phi, repeat(elem.cartan), repeat(i), elem.factors))
-
-
 def eps(elem, i):
-    return _element_signature(elem, i)[0]
+    return _signature(_TABLES[elem.cartan, i], elem.factors)[0]
 
 
 def phi(elem, i):
-    return _element_signature(elem, i)[1]
-
-
-def _act(elem, i, idx, column_op):
-    """Apply a column operator to factor ``idx``; None when ``idx`` is None."""
-    if idx is None:
-        return None
-    ct, facs = elem.cartan, elem.factors
-    new_col = column_op(ct, i, facs[idx])
-    return TensorElement(ct, facs[:idx] + (new_col,) + facs[idx + 1 :])
+    return _signature(_TABLES[elem.cartan, i], elem.factors)[1]
 
 
 def f(elem, i):
     """Apply f_i; None where it is undefined."""
-    return _act(elem, i, _element_signature(elem, i)[2], column_f)
+    new = _replace(_TABLES[elem.cartan, i], elem.factors, 2)
+    return None if new is None else TensorElement(elem.cartan, new)
 
 
 def e(elem, i):
     """Apply e_i; None where it is undefined."""
-    return _act(elem, i, _element_signature(elem, i)[3], column_e)
+    new = _replace(_TABLES[elem.cartan, i], elem.factors, 3)
+    return None if new is None else TensorElement(elem.cartan, new)
 
 
 def weight(elem):

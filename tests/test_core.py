@@ -38,6 +38,8 @@ from kncrystals import (
     weight,
 )
 from kncrystals.core import (
+    _box_e,
+    _box_f,
     _signature,
     _split_sets,
     check_budget,
@@ -268,9 +270,60 @@ def _reduce_word(pairs):
 
 def test_signature_matches_the_reduced_word():
     entries = list(itertools.product(range(3), repeat=2))
+    table = {pair: (*pair, None, None) for pair in entries}
     for n in range(1, 4):
         for pairs in itertools.product(entries, repeat=n):
-            assert _signature(pairs) == _reduce_word(pairs), pairs
+            assert _signature(table, pairs) == _reduce_word(pairs), pairs
+
+
+def _by_the_box_word(b, i):
+    """(eps_i, phi_i, f_i b, e_i b) from the reduced word of all of b's boxes.
+
+    The boxes are read factor by factor left to right, each column bottom to
+    top; no column rule and no operator table is read.
+    """
+    ct = b.cartan
+    boxes = [(k, x) for k, col in enumerate(b.factors) for x in reversed(col)]
+    pairs = [(int(_box_e(ct, i, x) is not None), int(_box_f(ct, i, x) is not None))
+             for _, x in boxes]
+    eps_i, phi_i, f_at, e_at = _reduce_word(pairs)
+
+    def act(at, box_op):
+        if at is None:
+            return None
+        k, x = boxes[at]
+        col = [box_op(ct, i, y) if y == x else y for y in b.factors[k]]
+        facs = b.factors[:k] + (tuple(sorted(col, key=ct.key)),) + b.factors[k + 1 :]
+        return TensorElement(ct, facs)
+
+    return eps_i, phi_i, act(f_at, _box_f), act(e_at, _box_e)
+
+
+def test_operators_are_the_reduced_word_of_every_box():
+    checked = 0
+    for ct, mu in theorem_shapes():
+        for b in iter_tensor_elements(ct, shape_heights(ct, mu)):
+            for i in ct.classical_indices:
+                assert (eps(b, i), phi(b, i), f(b, i), e(b, i)) == _by_the_box_word(b, i), (b, i)
+            checked += 1
+    assert checked == 2181
+
+
+def test_operator_tables_hold_only_the_columns_met():
+    ct = CartanType("A", 10**6)
+    b = element(ct, [(1, 2, 5), (3, 10**6)])
+    letters = {x for col in b.factors for x in col}
+    built = columns.cache_info().currsize
+    for i in (0, 1, 2, 4, 10**6 - 1):
+        core_module._TABLES.pop((ct, i), None)  # refilled on first sight
+        for op in (f, e, eps, phi):
+            start = time.perf_counter()
+            op(b, i)
+            assert time.perf_counter() - start < 1, (op, i)
+        table = core_module._TABLES[ct, i]
+        assert {k for k in table if isinstance(k, tuple)} == set(b.factors)
+        assert set(table) <= set(b.factors) | letters
+    assert columns.cache_info().currsize == built
 
 
 def test_phi_minus_eps_is_weight_pairing():
