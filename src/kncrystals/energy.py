@@ -14,8 +14,11 @@ two generator columns.
 Both walks run over integer codes.  A column's code is its position in
 ``columns(ct, h)``, so the generator is 0, and a pair of columns has the
 code ``l * |B_right| + r``.  Per (type, height, index) the column data are
-flat tuples by code: eps, phi, and the codes of the f and e targets, -1
-where the operator is undefined.  A :class:`LocalEnergyTable` keeps three
+flat tuples by code, each column's read off the one derivation of the
+crystal operators' entries in :mod:`.core`: eps, phi, and the codes of the
+f and e targets, -1 where the operator is undefined.  Before the H walk,
+one pass over the pair codes finds each pair's e_0 target and the change
+of H along that edge.  A :class:`LocalEnergyTable` keeps three
 flat arrays by pair code, the codes of the two columns of sigma's image and
 H, and its ``sigma`` and ``h`` are read-only mappings over them.  Each pass
 over a view iterates the product of the two column tuples, in pair-code
@@ -61,11 +64,9 @@ from .core import (
     TensorElement,
     _checked_index,
     _column_index,
+    _entry,
     check_budget,
     column_content,
-    column_e,
-    column_eps_phi,
-    column_f,
     column_involution,
     columns,
     e,
@@ -89,19 +90,15 @@ from .errors import ComponentCorrupt, EnergyInconsistent, NoMatchingComponent, T
 def _column_codes(ct, h, i):
     """(eps, phi, f, e) of every height-h column under index i, indexed by code.
 
-    f and e hold the code of the target column, or -1 where undefined.
+    These are the columns' entries of the operator tables (``core._entry``),
+    with f and e as the code of the target column, or -1 where undefined.
     """
-    cols = columns(ct, h)
     code = _column_index(ct, h).get
-    # each map is read once here, so the operators' per-column caches are
-    # bypassed; left filled, they held about 1.5 MB on C5
-    eps_t, phi_t = zip(*(column_eps_phi.__wrapped__(ct, i, c) for c in cols))
-    return (
-        eps_t,
-        phi_t,
-        tuple(code(column_f.__wrapped__(ct, i, c), -1) for c in cols),
-        tuple(code(column_e.__wrapped__(ct, i, c), -1) for c in cols),
-    )
+    # each entry is derived here and not kept: kept in the operator tables,
+    # the entries of every C3, C4 and C5 column held 0.37 MB even with the
+    # columns' own tuples as targets (0.57 MB with copies)
+    entries = (_entry(ct, i, c) for c in columns(ct, h))
+    return tuple(zip(*((ep, ph, code(down, -1), code(up, -1)) for ep, ph, down, up in entries)))
 
 
 class _PairView(Mapping):
@@ -240,7 +237,8 @@ def _build_h(ct, h_left, h_right, components, label, image):
 
     H is constant along classical arrows, so the walk runs over components,
     from the generator pair's component at 0, across the e_0 and f_0 edges
-    of their pairs by the LL/RR recursion.
+    of their pairs.  Each pair's e_0 target and the change of H along it
+    (the LL/RR recursion) are found once, before the walk.
     """
     n_left, n_right = len(columns(ct, h_left)), len(columns(ct, h_right))
     eps0_l, phi0_l, f0_l, e0_l = _column_codes(ct, h_left, 0)
@@ -250,30 +248,28 @@ def _build_h(ct, h_left, h_right, components, label, image):
         l, r = divmod(p, n_right)
         return columns(ct, h_left)[l], columns(ct, h_right)[r]
 
-    def e0_delta(p):
-        """(code of e_0 p, change of H along that edge), or (-1, 0)."""
-        al, ar = divmod(p, n_right)
+    # one pass in pair-code order: e_0's target (-1 where undefined) and the
+    # change of H along that edge, -1 where e_0 acts on the left factor both
+    # before and after sigma (LL), +1 on the right in both (RR), else 0
+    up, delta = array("i", [-1]) * len(image), array("b", bytes(len(image)))
+    pairs = product(range(n_left), range(n_right))
+    for p, ((al, ar), q) in enumerate(zip(pairs, image)):
         if eps0_l[al] > phi0_r[ar]:
-            t = e0_l[al]
-            if t < 0:
-                return -1, 0
-            up, side = t * n_right + ar, 0
+            t, side = e0_l[al], -1
+            target = t * n_right + ar
         else:
-            t = e0_r[ar]
-            if t < 0:
-                return -1, 0
-            up, side = al * n_right + t, 1
+            t, side = e0_r[ar], 1
+            target = al * n_right + t
+        if t < 0:
+            continue
         # the image's left factor has the right height and vice versa
-        bl, br = divmod(image[p], n_left)
-        if eps0_r[bl] > phi0_l[br]:
-            s_up, s_side = e0_r[bl], 0
-        else:
-            s_up, s_side = e0_l[br], 1
+        bl, br = divmod(q, n_left)
+        s_up, s_side = (e0_r[bl], -1) if eps0_r[bl] > phi0_l[br] else (e0_l[br], 1)
         if s_up < 0:
             raise NoMatchingComponent(f"e_0 undefined on the sigma image of {key(p)}")
+        up[p] = target
         if side == s_side:
-            return up, 2 * side - 1
-        return up, 0
+            delta[p] = side
 
     def reach(q, val):  # H is val on the component of pair q
         d = label[q]
@@ -290,9 +286,8 @@ def _build_h(ct, h_left, h_right, components, label, image):
     for c in queue:
         hc = h_of[c]
         for w in components[c]:
-            up, delta = e0_delta(w)
-            if up >= 0:
-                reach(up, hc + delta)
+            if up[w] >= 0:
+                reach(up[w], hc + delta[w])
             wl, wr = divmod(w, n_right)
             if eps0_l[wl] >= phi0_r[wr]:
                 t = f0_l[wl]
@@ -301,10 +296,9 @@ def _build_h(ct, h_left, h_right, components, label, image):
                 t = f0_r[wr]
                 down = -1 if t < 0 else wl * n_right + t
             if down >= 0:
-                back, delta = e0_delta(down)
-                if back != w:
+                if up[down] != w:
                     raise EnergyInconsistent(f"e_0 does not undo f_0 at {key(w)}")
-                reach(down, hc - delta)
+                reach(down, hc - delta[down])
     if len(queue) != len(components):
         raise NoMatchingComponent(
             f"affine graph of ({h_left},{h_right}) over {ct} is not connected"

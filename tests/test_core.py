@@ -4,6 +4,7 @@ import pickle
 import subprocess
 import sys
 import time
+from importlib import import_module
 from math import comb
 from pathlib import Path
 
@@ -307,6 +308,48 @@ def test_operators_are_the_reduced_word_of_every_box():
                 assert (eps(b, i), phi(b, i), f(b, i), e(b, i)) == _by_the_box_word(b, i), (b, i)
             checked += 1
     assert checked == 2181
+
+
+def _affine_by_closed_form(ct, col):
+    """(eps_0, phi_0, f_0, e_0) of a column, written out.
+
+    In type A, f_0 trades n for 1 and e_0 trades 1 for n, each where the
+    column holds just one of the two; in type C, f_0 trades 1-bar for 1 and
+    e_0 trades 1 for 1-bar.
+    """
+    if ct.family == "A":
+        lower, lift = ct.n in col and 1 not in col, 1 in col and ct.n not in col
+        down, up = {ct.n: 1}, {1: ct.n}
+    else:
+        lower, lift = -1 in col, 1 in col
+        down, up = {-1: 1}, {1: -1}
+
+    def moved(swap):
+        return tuple(sorted((swap.get(x, x) for x in col), key=ct.key))
+
+    return int(lift), int(lower), moved(down) if lower else None, moved(up) if lift else None
+
+
+def test_column_codes_are_the_reduced_word_of_every_box():
+    # the per-column data the energy table builders read, by code: under a
+    # classical index the reduced word of the column's boxes, under index 0
+    # the closed forms; every column of A_n, n = 2..7, and C_n, n = 2..5
+    energy_module = import_module("kncrystals.energy")
+    cartans = [CartanType("A", n) for n in range(2, 8)] + [CartanType("C", n) for n in range(2, 6)]
+    for ct in cartans:
+        for h in range(1, ct.max_height + 1):
+            cols = columns(ct, h)
+            code = {c: k for k, c in enumerate(cols)}
+            for i in ct.index_set:
+                want = []
+                for col in cols:
+                    if i:
+                        eps_i, phi_i, fb, eb = _by_the_box_word(TensorElement(ct, (col,)), i)
+                        down, up = (None if b is None else b.factors[0] for b in (fb, eb))
+                    else:
+                        eps_i, phi_i, down, up = _affine_by_closed_form(ct, col)
+                    want.append((eps_i, phi_i, *(-1 if t is None else code[t] for t in (down, up))))
+                assert energy_module._column_codes(ct, h, i) == tuple(zip(*want)), (ct, h, i)
 
 
 def test_operator_tables_hold_only_the_columns_met():

@@ -92,14 +92,15 @@ def test_tables_match_the_pinned_digests():
         assert tuple(table.sigma) == tuple(table.h) == keys
 
 
-def _corrupt(monkeypatch, height, index, slot, change):
-    """Serve a copy of the coded maps with ``change`` applied to one list."""
+def _corrupt(monkeypatch, height, index, slots, change):
+    """Serve a copy of the coded maps with ``change`` applied to the lists of ``slots``."""
     real = energy_module._column_codes
 
     def corrupted(ct, h, i):
         maps = [list(m) for m in real(ct, h, i)]
         if (h, i) == (height, index):
-            change(maps[slot])
+            for slot in slots:
+                change(maps[slot])
         return tuple(maps)
 
     monkeypatch.setattr(energy_module, "_column_codes", corrupted)
@@ -109,6 +110,10 @@ def _undefine_first(codes):
     codes[next(c for c, t in enumerate(codes) if t >= 0)] = -1
 
 
+def _undefine_all(codes):
+    codes[:] = [-1] * len(codes)
+
+
 def _redirect_first(codes):
     first = next(c for c, t in enumerate(codes) if t >= 0)
     codes[first] = (codes[first] + 1) % len(codes)
@@ -116,24 +121,31 @@ def _redirect_first(codes):
 
 SMALL_PAIRS = ((2, 1), (1, 2), (2, 2), (1, 1))
 CORRUPTIONS = [
-    # (height, index, slot, change, pairs built, match)
-    (1, 1, 2, _undefine_first, SMALL_PAIRS, None),  # a classical f undefined
-    (2, 2, 2, _redirect_first, SMALL_PAIRS, None),  # a classical f pointing elsewhere
-    (2, 0, 3, _undefine_first, SMALL_PAIRS, None),  # e_0 undefined
-    (1, 0, 3, _redirect_first, SMALL_PAIRS, None),  # e_0 pointing elsewhere
-    (1, 0, 2, _redirect_first, SMALL_PAIRS, None),  # f_0 pointing elsewhere
+    # (height, index, slots, change, pairs built, match)
+    (1, 1, (2,), _undefine_first, SMALL_PAIRS, None),  # a classical f undefined
+    (2, 2, (2,), _redirect_first, SMALL_PAIRS, None),  # a classical f pointing elsewhere
+    # e_0 undefined on a column, met on the sigma image of a pair that keeps it
+    (2, 0, (3,), _undefine_first, SMALL_PAIRS, "e_0 undefined on the sigma image"),
+    (1, 0, (3,), _redirect_first, SMALL_PAIRS, "e_0 does not undo f_0"),  # e_0 pointing elsewhere
+    (1, 0, (2,), _redirect_first, SMALL_PAIRS, "e_0 does not undo f_0"),  # f_0 pointing elsewhere
+    # e_0 pointing elsewhere, met within (2, 2) first where it lands on a
+    # component whose H is set otherwise
+    (2, 0, (3,), _redirect_first, ((2, 2),), "H differs"),
+    # no affine arrow on either factor: each component is its own
+    (1, 0, (2, 3), _undefine_all, ((1, 1),), "is not connected"),
     # a classical f into another component, caught at the edge
-    (3, 2, 2, _redirect_first, ((3, 3),), "leaves the component walk"),
+    (3, 2, (2,), _redirect_first, ((3, 3),), "leaves the component walk"),
 ]
 
 
 @pytest.mark.parametrize(
-    "height, index, slot, change, pairs, match",
+    "height, index, slots, change, pairs, match",
     CORRUPTIONS,
-    ids=[f"{h}-{i}-{slot}-{change.__name__}" for h, i, slot, change, *_ in CORRUPTIONS],
+    ids=[f"{h}-{i}-{'-'.join(map(str, slots))}-{change.__name__}"
+         for h, i, slots, change, *_ in CORRUPTIONS],
 )
-def test_corrupted_maps_fail_the_build(monkeypatch, height, index, slot, change, pairs, match):
-    _corrupt(monkeypatch, height, index, slot, change)
+def test_corrupted_maps_fail_the_build(monkeypatch, height, index, slots, change, pairs, match):
+    _corrupt(monkeypatch, height, index, slots, change)
     with pytest.raises((NoMatchingComponent, EnergyInconsistent), match=match):
         for hl, hr in pairs:
             components, label, image = energy_module._build_sigma(C3, hl, hr)
@@ -142,7 +154,7 @@ def test_corrupted_maps_fail_the_build(monkeypatch, height, index, slot, change,
 
 def test_uncorrupted_copies_build_the_same_tables(monkeypatch):
     # the control: served through the same wrapper, but with no list changed
-    _corrupt(monkeypatch, None, None, 0, None)
+    _corrupt(monkeypatch, None, None, (), None)
     for hl, hr in ((2, 1), (3, 3)):
         table = local_table(C3, hl, hr)
         components, label, image = energy_module._build_sigma(C3, hl, hr)
@@ -435,7 +447,7 @@ import gc, random, tracemalloc
 from kncrystals import CartanType, TensorElement, charge, columns, energy_DL, energy_DR
 A3 = CartanType("A", 3)
 rng = random.Random(3)
-b = TensorElement(A3, tuple(rng.choice(columns(A3, 1)) for _ in range(2000)))
+b = TensorElement(A3, tuple(rng.choice(columns(A3, 1)) for _ in range(600)))
 tracemalloc.start()
 values = energy_DL(b), energy_DR(b), charge(b)
 gc.collect()
@@ -444,8 +456,9 @@ print(*values, tracemalloc.get_traced_memory()[0])
 
 
 def test_a_long_element_leaves_no_plan_behind():
-    # a per-shape transport plan of these 2,000 factors, cached, retained
-    # about 31 MB
+    # a per-shape cache of the chain rows of these 600 factors, one
+    # reference a step, retained about 2.9 MB (31 MB at 2,000 factors, which
+    # took ten times as long to trace)
     d_left, d_right, c, retained = map(int, fresh_python(_RETAINED_BY_A_LONG_ELEMENT))
     assert d_left == -c and d_right <= 0
     assert retained < 1024 * 1024
