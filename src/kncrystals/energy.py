@@ -6,23 +6,26 @@ highest element of the swapped product with the same weight (the two-column
 decomposition is multiplicity free in both types), and lower by the mirrored
 word.  That walk visits the pair one classical component at a time, in
 lockstep with the image.  The local energy H is constant on each classical
-component: it changes by -1 across an e_0 edge acting on the left factor
-both before and after the R-matrix (LL), by +1 when acting on the right in
-both (RR), and by 0 otherwise, normalized to 0 at the tensor product of the
-two generator columns.
+component, so it is read off the component's highest pair x (x) generator:
+H is minus the number of letters of x outside 1..h_left (the barred letters
+and those above the left height), which is 0 at the tensor product of the
+two generator columns.  In type A this is the two-column local energy of
+Nakayashiki and Yamada; in type C it is measured, on every pair of heights
+of C2-C5.  The ``rmatrix`` suite of :mod:`.verify` holds every table to the
+affine recursion it stands for: along each f_0 edge H rises by 1 where f_0
+acts on the left factor both before and after the R-matrix (LL), falls by 1
+where it acts on the right in both (RR), and stays put otherwise.
 
-Both walks run over integer codes.  A column's code is its position in
+The walk runs over integer codes.  A column's code is its position in
 ``columns(ct, h)``, so the generator is 0, and a pair of columns has the
 code ``l * |B_right| + r``.  Per (type, height, index) the column data are
 flat tuples by code, each column's read off the one derivation of the
 crystal operators' entries in :mod:`.core`: eps, phi, and the codes of the
-f and e targets, -1 where the operator is undefined.  Before the H walk,
-one pass over the pair codes finds each pair's e_0 target and the change
-of H along that edge.  A :class:`LocalEnergyTable` keeps three
-flat arrays by pair code, the codes of the two columns of sigma's image and
-H, and its ``sigma`` and ``h`` are read-only mappings over them.  Each pass
-over a view iterates the product of the two column tuples, in pair-code
-order, and keeps nothing.
+f and e targets, -1 where the operator is undefined.  A
+:class:`LocalEnergyTable` keeps three flat arrays by pair code, the codes of
+the two columns of sigma's image and H, and its ``sigma`` and ``h`` are
+read-only mappings over them.  Each pass over a view iterates the product of
+the two column tuples, in pair-code order, and keeps nothing.
 
 Only the tables with left height >= right height are walked, the ones a
 weakly decreasing shape meets; the others are their mirrors.  The R-matrix
@@ -77,7 +80,7 @@ from .core import (
     lusztig_involution,
     phi,
 )
-from .errors import ComponentCorrupt, EnergyInconsistent, NoMatchingComponent, TargetUnreachable
+from .errors import ComponentCorrupt, NoMatchingComponent, TargetUnreachable
 
 
 # On a pair the signature rule collapses to the textbook comparison: f acts
@@ -157,9 +160,9 @@ def _highest_codes(ct, h, h_other):
 def _build_sigma(ct, h_left, h_right):
     """sigma by code, walked one classical component at a time.
 
-    Returns ``(components, label, image)``: the pair codes of each component
-    in walk order from its highest pair, the component of every pair code,
-    and the image code of every pair code.  The image lives in the swapped
+    Returns ``(highest, label, image)``: the left code x of each component's
+    highest pair x (x) generator, the component of every pair code, and the
+    image code of every pair code.  The image lives in the swapped
     product, so its code is ``l' * |B_left| + r'``.  Each component is walked
     in lockstep with its image from the matching highest elements; a
     classical f edge must land inside the component, on the image it maps
@@ -176,7 +179,7 @@ def _build_sigma(ct, h_left, h_right):
 
     image = [-1] * (n_left * n_right)
     label = [-1] * len(image)
-    components = []
+    highest, covered = [], 0
     # per classical index: the maps of the left height, then of the right
     # height; the image's factors have the heights reversed
     plan = [
@@ -190,7 +193,7 @@ def _build_sigma(ct, h_left, h_right):
                 f"{len(matches)} highest elements of weight {wt} in the swap of "
                 f"({h_left},{h_right}) over {ct}"
             )
-        c, start = len(components), x * n_right
+        c, start = len(highest), x * n_right
         if label[start] >= 0:
             raise NoMatchingComponent(f"the highest pair {key(start)} is walked twice")
         image[start], label[start] = matches[0], c
@@ -222,88 +225,14 @@ def _build_sigma(ct, h_left, h_right):
                     raise NoMatchingComponent(
                         f"f_{i} at {key(p)} leaves the component walk"
                     )
-        components.append(queue)
-    covered = sum(map(len, components))
+        highest.append(x)
+        covered += len(queue)
     if covered != len(image):
         raise NoMatchingComponent(
             f"sigma table covers {covered} of {len(image)} elements for "
             f"({h_left},{h_right}) over {ct}"
         )
-    return components, label, image
-
-
-def _build_h(ct, h_left, h_right, components, label, image):
-    """H by pair code: one value per classical component of ``_build_sigma``.
-
-    H is constant along classical arrows, so the walk runs over components,
-    from the generator pair's component at 0, across the e_0 and f_0 edges
-    of their pairs.  Each pair's e_0 target and the change of H along it
-    (the LL/RR recursion) are found once, before the walk.
-    """
-    n_left, n_right = len(columns(ct, h_left)), len(columns(ct, h_right))
-    eps0_l, phi0_l, f0_l, e0_l = _column_codes(ct, h_left, 0)
-    eps0_r, phi0_r, f0_r, e0_r = _column_codes(ct, h_right, 0)
-
-    def key(p):  # the pair of columns with code p, for an error message
-        l, r = divmod(p, n_right)
-        return columns(ct, h_left)[l], columns(ct, h_right)[r]
-
-    # one pass in pair-code order: e_0's target (-1 where undefined) and the
-    # change of H along that edge, -1 where e_0 acts on the left factor both
-    # before and after sigma (LL), +1 on the right in both (RR), else 0
-    up, delta = array("i", [-1]) * len(image), array("b", bytes(len(image)))
-    pairs = product(range(n_left), range(n_right))
-    for p, ((al, ar), q) in enumerate(zip(pairs, image)):
-        if eps0_l[al] > phi0_r[ar]:
-            t, side = e0_l[al], -1
-            target = t * n_right + ar
-        else:
-            t, side = e0_r[ar], 1
-            target = al * n_right + t
-        if t < 0:
-            continue
-        # the image's left factor has the right height and vice versa
-        bl, br = divmod(q, n_left)
-        s_up, s_side = (e0_r[bl], -1) if eps0_r[bl] > phi0_l[br] else (e0_l[br], 1)
-        if s_up < 0:
-            raise NoMatchingComponent(f"e_0 undefined on the sigma image of {key(p)}")
-        up[p] = target
-        if side == s_side:
-            delta[p] = side
-
-    def reach(q, val):  # H is val on the component of pair q
-        d = label[q]
-        old = h_of[d]
-        if old is None:
-            h_of[d] = val
-            queue.append(d)
-        elif old != val:
-            raise EnergyInconsistent(f"H differs at {key(q)}: {old} != {val}")
-
-    h_of = [None] * len(components)  # H of each component
-    h_of[label[0]] = 0
-    queue = [label[0]]
-    for c in queue:
-        hc = h_of[c]
-        for w in components[c]:
-            if up[w] >= 0:
-                reach(up[w], hc + delta[w])
-            wl, wr = divmod(w, n_right)
-            if eps0_l[wl] >= phi0_r[wr]:
-                t = f0_l[wl]
-                down = -1 if t < 0 else t * n_right + wr
-            else:
-                t = f0_r[wr]
-                down = -1 if t < 0 else wl * n_right + t
-            if down >= 0:
-                if up[down] != w:
-                    raise EnergyInconsistent(f"e_0 does not undo f_0 at {key(w)}")
-                reach(down, hc - delta[down])
-    if len(queue) != len(components):
-        raise NoMatchingComponent(
-            f"affine graph of ({h_left},{h_right}) over {ct} is not connected"
-        )
-    return [h_of[c] for c in label]
+    return highest, label, image
 
 
 @lru_cache(maxsize=None)
@@ -324,8 +253,11 @@ def local_table(ct, h_left, h_right):
             )
         hv = map(src.energies.__getitem__, image)
     else:
-        components, label, image = _build_sigma(ct, h_left, h_right)
-        hv = _build_h(ct, h_left, h_right, components, label, image)
+        highest, label, image = _build_sigma(ct, h_left, h_right)
+        # H of the component of x (x) generator, by the module docstring's rule
+        cols = columns(ct, h_left)
+        h_of = [-sum(v < 0 or v > h_left for v in cols[x]) for x in highest]
+        hv = map(h_of.__getitem__, label)
     hv = array("h", hv)  # "h" raises OverflowError
 
     cols_right, cols_left = columns(ct, h_right), columns(ct, h_left)

@@ -89,16 +89,24 @@ def _suite_rmatrix(ct, heights):
             yield involution[TensorElement(ct, (sr, sl))].factors == (l2, r2)
             # H(b2 (x) b1) = H(S(b1) (x) S(b2))
             yield local_energy(ct, l, r) == local_energy(ct, sr, sl)
+            h = table.h[(l, r)]
             for i in ct.index_set:
-                # sigma commutes with f_i, and H is constant along classical f_i
+                # sigma commutes with f_i, and H is constant along classical
+                # f_i; along f_0 it follows the LL/RR rule, rising by 1 where
+                # f_0 acts on the left factor of both b and sigma(b) and
+                # falling by 1 where it acts on the right factor of both
                 fp = f(pair, i)
                 fi = f(image, i)
                 if fp is None or fi is None:
                     yield fp is None and fi is None
-                else:
-                    yield table.sigma[fp.factors] == fi.factors and (
-                        i == 0 or table.h[fp.factors] == table.h[(l, r)]
-                    )
+                    continue
+                rise = 0
+                if i == 0:
+                    on_left, image_on_left = fp.factors[0] != l, fi.factors[0] != l2
+                    rise = (on_left and image_on_left) - (not on_left and not image_on_left)
+                yield table.sigma[fp.factors] == fi.factors and (
+                    table.h[fp.factors] - h == rise
+                )
         if ct.family == "C" and max(hl, hr) <= ct.n - 1:
             # local energies of unbarred pairs agree with type A on [n]
             ct_a = CartanType("A", ct.n)
