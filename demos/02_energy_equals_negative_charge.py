@@ -6,6 +6,7 @@ Run with: python demos/02_energy_equals_negative_charge.py
 from kncrystals import (
     CartanType,
     charge,
+    charge_via_selection,
     charge_word,
     circ_ord,
     combinatorial_r,
@@ -16,6 +17,7 @@ from kncrystals import (
     ls_charge,
     parse_filling,
 )
+from kncrystals.errors import ShapeTooLarge
 
 print("=== Type A walkthrough ===")
 b = parse_filling("A6; 3,5,6 | 2,3,4 | 1,2,4 | 2")
@@ -55,3 +57,15 @@ for el in iter_tensor_elements(C3, (2, 2, 1)):
     assert energy_DL(el) == -charge(el)
     count += 1
 print(f"checked the identity on all {count} elements of a C3 product")
+print()
+
+print("=== Charge past the table wall ===")
+b = parse_filling("A20; 11,12,13,14,15,16,17,18,19,20 | 1,2,3,4,5,6,7,8,9")
+print("charge of a two-factor A20 (10,9) filling:", charge(b))
+assert charge(b) == charge_via_selection(b) == 9
+try:
+    energy_DL(b)
+except ShapeTooLarge as err:
+    print("energy D of it is refused before any table is built:", err)
+else:
+    raise SystemExit("energy D over the vertex budget was not refused")

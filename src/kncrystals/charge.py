@@ -27,11 +27,13 @@ columns of a type, plus one start state per type before the first factor.
 ``_STORE``: a state is a plain dict that maps a factor's column to its entry
 ``(next state, increment of the packed prefix counts, read shift)``, and
 ``None`` to its key column.  A missing transition runs the plain step
-(:func:`_step`), behind the budget gate :func:`kncrystals.core.check_budget`
-(through ``_checked_index``); a step that raises is never stored, and a type
-stores at most ``STEP_TABLE_CAP`` transitions.  No arm needs the shape: a
-descent in row r at factor p has the arm ``#{q >= p : h_q >= r}`` (in type
-C, the split filling's doubled arm halved back).
+(:func:`_step`) on the factor and that key column alone; a factor is first
+held to :func:`kncrystals.core.validate_column`, the check ``element()``
+makes, once per column in :func:`_key_columns`.  A step that raises is
+never stored, and a type stores at most ``STEP_TABLE_CAP`` transitions, the
+map's only bound.  No arm needs the shape: a descent in row r at factor p
+has the arm ``#{q >= p : h_q >= r}`` (in type C, the split filling's
+doubled arm halved back).
 
 Both routes require the column heights to be weakly decreasing left to right;
 callers holding an unsorted element can reorder it with
@@ -45,8 +47,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import lt, neg
 
-from .core import _checked_index, split_column
-from .errors import HeightsNotSorted, NotPartitionContent, OddArmSum, ShapeTooLarge
+from .core import split_column, validate_column
+from .errors import HeightsNotSorted, NotPartitionContent, OddArmSum
 
 #: Transitions stored per type; a step past it runs plain on every call.
 STEP_TABLE_CAP = 1 << 16
@@ -156,7 +158,10 @@ class CircFilling:
 
 @lru_cache(maxsize=None)
 def _key_columns(ct, col):
-    """The key tuples of a factor: its two split halves in type C, else itself."""
+    """The key tuples of a factor: its two split halves in type C, else itself;
+    a factor that is not a column raises what ``element()`` raises for it, a
+    check cached here to run once per column, not once per transition."""
+    validate_column(ct, col)
     halves = split_column(ct, col) if ct.family == "C" else (col,)
     return tuple(tuple(ct.key(x) for x in half) for half in halves)
 
@@ -248,14 +253,12 @@ def _step(ct, state, col):
     """``state[col]`` where no transition is stored: the plain step, stored
     while the type's stored transitions are below ``STEP_TABLE_CAP``.
 
-    The rank work passes :func:`kncrystals.core.check_budget` and a factor
-    that is not a column is refused first (``_checked_index``); a step that
-    raises stores nothing.  An entry is ``(next state, increment of the
-    packed prefix counts, read shift)``; the transitions that reach one
+    A factor that is not a column raises in :func:`_key_columns`; a step
+    that raises stores nothing.  An entry is ``(next state, increment of
+    the packed prefix counts, read shift)``; the transitions that reach one
     state with one increment share one entry.
     """
     prev, h = state[None], len(col)
-    _checked_index(ct, col, *(() if prev is None else (len(prev),)), h)
     produced, cells = _circ_step(ct, prev, col)
     key = produced[-1]
     # a descent in row r counts in field s of the counts for each row s >= r:
@@ -282,25 +285,22 @@ def charge(elem):
     increment to the packed prefix counts.  Summing each descent's arm over
     the factors it reaches, the charge is the sum over q of the descents in
     rows ``<= h_q`` among factors 0 to q: field ``h_q`` of those counts.
-    Over the rank budget it takes the plain route of ``circ_ord``, which
-    builds no column index.
+    A step reads only the factor and the key column before it, so no rank
+    is too large: no column index is built.
     """
     ct = elem.cartan
     state = _STORE.get(ct) or _start(ct)
     counts = total = 0
-    try:
-        for col in elem.factors:
-            try:
-                state, inc, read = state[col]
-            except KeyError:
-                prev = state[None]
-                if prev is not None and len(col) > len(prev):
-                    _require_sorted(elem.heights)
-                state, inc, read = _step(ct, state, col)
-            counts += inc
-            total += counts >> read & _FIELD_MASK
-    except ShapeTooLarge:
-        return charge_from_filling(circ_ord(elem))
+    for col in elem.factors:
+        try:
+            state, inc, read = state[col]
+        except KeyError:
+            prev = state[None]
+            if prev is not None and len(col) > len(prev):
+                _require_sorted(elem.heights)
+            state, inc, read = _step(ct, state, col)
+        counts += inc
+        total += counts >> read & _FIELD_MASK
     return total
 
 

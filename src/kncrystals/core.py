@@ -585,18 +585,6 @@ def check_budget(ct, heights, per_vertex=1):
 _PASSED = {}  # (ct, heights, per_vertex, budget) of each pass -> its vertex count
 
 
-def _checked_index(ct, col, *pair):
-    """The column index of ``col``'s height, after the rank work of ``pair``
-    passes :func:`check_budget`; ``KeyError`` if ``col`` is not among its
-    columns.  Charge's steps and energy's rows pass this gate before
-    anything of theirs goes in."""
-    check_budget(ct, pair, ct.n)  # before any column index is built
-    index = _column_index(ct, len(col))
-    if col not in index:
-        raise KeyError(col)
-    return index
-
-
 def tensor_elements(ct, heights):
     """All vertices of the shape, in sort-key order (the columns are sorted)."""
     check_budget(ct, heights)

@@ -65,7 +65,7 @@ from itertools import product
 from .core import (
     DEMAZURE_LEVEL,
     TensorElement,
-    _checked_index,
+    _Lazy,
     _column_index,
     _entry,
     check_budget,
@@ -303,33 +303,35 @@ def tau(elem):
     return TensorElement(ct, tuple(column_involution(ct, c) for c in reversed(elem.factors)))
 
 
-class _Rows(dict):
-    """``_ROWS[ct, step]``: ``(ct, step, movers)``, the rows of the D^L
-    (``step`` -1) or D^R (``step`` +1) transports of a type.
-
-    ``movers`` maps a moving column to its code and its height's row, and a
-    row maps a met column to ``(met offset, energies, moved, moving
-    stride)``: the pair code is ``met offset + moving * moving stride``, and
-    ``moved`` holds, by pair code, the code of the moving factor after
-    sigma.  Both are plain dicts, filled a whole height at a time on a miss,
-    ``movers`` in :func:`_chain_sum` and a row by :func:`_fill`, each behind
-    the budget gate :func:`kncrystals.core.check_budget` (``_checked_index``).
-    """
-
-    def __missing__(self, key):
-        rows = self[key] = key + ({},)
-        return rows
+# ``_ROWS[ct, step]``: ``(ct, step, movers)``, the rows of the D^L (``step``
+# -1) or D^R (``step`` +1) transports of a type.  ``movers`` maps a moving
+# column to its code and its height's row, and a row maps a met column to
+# ``(met offset, energies, moved, moving stride)``: the pair code is ``met
+# offset + moving * moving stride``, and ``moved`` holds, by pair code, the
+# code of the moving factor after sigma.  Both are plain dicts, filled a
+# whole height at a time on a miss, ``movers`` in :func:`_chain_sum` and a
+# row by :func:`_fill`, each behind :func:`_checked_index`.
+_ROWS = _Lazy(lambda key: key + ({},))
 
 
-_ROWS = _Rows()
+def _checked_index(ct, col, h):
+    """The column index of ``col``'s height, after the rank work of the pair
+    of heights ``h`` and ``len(col)`` passes :func:`kncrystals.core.check_budget`;
+    ``KeyError`` if ``col`` is not among its columns.  Energy's rows pass
+    this gate before anything of theirs goes in."""
+    check_budget(ct, (h, len(col)), ct.n)  # before any column index is built
+    index = _column_index(ct, len(col))
+    if col not in index:
+        raise KeyError(col)
+    return index
 
 
 def _fill(ct, step, h, row, col):
     """``row[col]`` of a moving height-``h`` factor, after putting in every
     column of ``col``'s height from ``local_table``; called on a miss only,
     so a factor that is not a column fills nothing and no height fills twice.
-    The pair's rank work passes :func:`kncrystals.core.check_budget` first."""
-    index = _checked_index(ct, col, h, len(col))
+    The pair's rank work passes :func:`_checked_index` first."""
+    index = _checked_index(ct, col, h)
     # sigma's image is (l', r'): D^L meets on the left and moves on as l',
     # D^R meets on the right and moves on as r'
     if step < 0:
@@ -359,10 +361,11 @@ def _chain_sum(rows, factors, starts, terms=None):
         try:
             moving, row = movers[col]
         except KeyError:
-            # a loop: a generator here would close over row and make it a
+            # gated on the chain's first pair, which _fill gates next; a
+            # loop, as a generator here would close over row and make it a
             # cell, slower to read in the transport loop below
             row = {}
-            for c, k in _checked_index(ct, col, len(col)).items():
+            for c, k in _checked_index(ct, col, len(factors[q + step])).items():
                 movers[c] = k, row
             moving = movers[col][0]
         for col in factors[q + step::step]:

@@ -36,6 +36,10 @@ from .energy import is_demazure_arrow
 from .errors import BarredResidue, NonDemazureArrow, NotFundamental, ShapeTooLarge
 
 
+#: Ground states one call lists; one more raises ``ShapeTooLarge``.
+GROUND_STATE_CAP = 100_000
+
+
 @dataclass(frozen=True)
 class GroundState:
     """A ground state element together with its fundamental weight index."""
@@ -61,7 +65,7 @@ def _fundamental_index(ct, coeffs):
     return coeffs.index(1)
 
 
-def ground_states(ct, heights, budget=100_000):
+def ground_states(ct, heights):
     """All ground states of the tensor product with the given heights.
 
     ``heights`` lists the factors left to right, so the chain starts at the
@@ -90,8 +94,8 @@ def ground_states(ct, heights, budget=100_000):
             col, chain = chain
             factors.append(col)
         out.append(GroundState(TensorElement(ct, tuple(factors)), h))
-        if len(out) > budget:
-            raise ShapeTooLarge(f"more than {budget} ground states")
+        if len(out) > GROUND_STATE_CAP:
+            raise ShapeTooLarge(f"more than {GROUND_STATE_CAP} ground states")
     out.sort(key=lambda g: g.element.sort_key())
     return out
 

@@ -6,6 +6,7 @@ from itertools import cycle, islice
 import pytest
 from util import charge_states, clear_charge_states, fresh_python, theorem_shapes
 
+import kncrystals.core as core_module
 from kncrystals import (
     CartanType,
     TensorElement,
@@ -25,7 +26,12 @@ from kncrystals import (
     shape_heights,
     split_factors,
 )
-from kncrystals.errors import HeightsNotSorted, NotPartitionContent, OddArmSum
+from kncrystals.errors import (
+    AdmissibilityViolation,
+    HeightsNotSorted,
+    NotPartitionContent,
+    OddArmSum,
+)
 from kncrystals.qpoly import _prefix_scan
 
 # the package exports the function ``charge``, which shadows the module
@@ -326,9 +332,17 @@ def test_a_raising_step_is_never_stored(fresh_store, monkeypatch):
     assert not any(charge_states().values())  # no transition was stored
 
 
-def test_charge_over_the_rank_budget_builds_no_column_index(fresh_store):
-    big = CartanType("A", 10**7)
-    b = element(big, [(2, 3), (1,)])
+@pytest.mark.parametrize("ct, factors", [
+    (CartanType("A", 10**7), [(2, 3), (1,)]),
+    (CartanType("A", 20), [tuple(range(1, 11)), tuple(range(2, 11))]),
+    (CartanType("C", 10), [
+        (1, 2, 3, 4, 5, 6, 7, 8, 9, 10), (2, 3, 4, 5, 6, 7, 8, 9, -1),
+        (1, 3, 5, 7, -9, -4, -2), (4, 6, -6, -1), (2, -2), (-10,),
+    ]),
+], ids=["A1e7", "A20", "C10"])
+def test_charge_over_the_rank_budget_builds_no_column_index(fresh_store, ct, factors):
+    b = element(ct, factors)
+    indexed = core_module._column_index.cache_info().currsize
     tracemalloc.start()
     try:
         c = charge(b)
@@ -337,9 +351,12 @@ def test_charge_over_the_rank_budget_builds_no_column_index(fresh_store):
         tracemalloc.stop()
     assert c == charge_via_selection(b)
     assert peak < 256 * 1024  # nothing sized by the rank
-    # the first factor's step was over the budget, so only the start state is
-    assert charge_states() == {(big, None): {}}
-    assert list(charge_module._STORE) == [big]
+    assert core_module._column_index.cache_info().currsize == indexed
+    # the element's transitions are stored, one per factor from the start
+    state = charge_module._STORE[ct]
+    for col in b.factors:
+        state = state[col][0]  # KeyError where a transition is not stored
+    assert sum(map(len, charge_states().values())) == len(b.factors)
 
 
 @pytest.mark.parametrize("factors, kept", [
@@ -349,7 +366,7 @@ def test_charge_over_the_rank_budget_builds_no_column_index(fresh_store):
 def test_a_factor_off_the_columns_stores_nothing(fresh_store, factors, kept):
     b = TensorElement(C3, factors)
     for _ in range(2):
-        with pytest.raises(KeyError):
+        with pytest.raises(AdmissibilityViolation):  # as element() raises
             charge(b)
         states = charge_states()
         # the start state keeps the first factor's transition where it is a

@@ -269,6 +269,18 @@ def test_grading_over_the_budget_enumerates_nothing(monkeypatch):
         demazure_grading(CartanType("A", 3_000_000), (1,))
 
 
+@pytest.mark.parametrize("energy", [energy_DL, energy_DR, energy_report])
+def test_a_refused_energy_indexes_no_column(energy):
+    # each height alone passes the rank check (167,960 columns of height 9
+    # x rank 20), the pair does not; the moving factor's column index waits
+    # on the pair
+    b = element(CartanType("A", 20), [tuple(range(1, 11)), tuple(range(2, 11))])
+    before = core_module._column_index.cache_info().currsize
+    with pytest.raises(ShapeTooLarge):
+        energy(b)
+    assert core_module._column_index.cache_info().currsize == before
+
+
 def test_grading_with_an_extra_ground_state_raises(monkeypatch):
     # every vertex lies in the component of its ground state, so a vertex
     # taken for one more ground state is reached from the real one too

@@ -2,6 +2,7 @@ import pytest
 from util import theorem_shapes
 
 import kncrystals.core as core_module
+import kncrystals.kyoto as kyoto_module
 from kncrystals import (
     CartanType,
     ShapeState,
@@ -170,13 +171,14 @@ def test_oracle_targets_are_exactly_ground_states():
         assert demazure_grading(ct, heights) == oracle, (ct, heights)
 
 
-def test_ground_states_of_many_factors():
+def test_ground_states_of_many_factors(monkeypatch):
     # the chain is built on an explicit stack, so no recursion limit applies
     (state,) = ground_states(CartanType("A", 2), (1,) * 2000)
     assert len(state.element.factors) == 2000
+    monkeypatch.setattr(kyoto_module, "GROUND_STATE_CAP", 100)
     with pytest.raises(ShapeTooLarge):
         # 1,024 states
-        ground_states(CartanType("C", 2), (1,) * 20, budget=100)
+        ground_states(CartanType("C", 2), (1,) * 20)
 
 
 def test_ground_states_hold_columns_times_rank_to_the_budget(monkeypatch):
