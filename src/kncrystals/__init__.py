@@ -51,7 +51,6 @@ from .energy import (
     energy_DL,
     energy_DR,
     energy_report,
-    is_demazure_arrow,
     is_ground_state,
     local_energy,
     local_table,
@@ -65,6 +64,7 @@ from .kyoto import (
     demazure_walk,
     f_word,
     ground_states,
+    is_demazure_arrow,
     normalize_shape,
 )
 from .qpoly import (

@@ -29,11 +29,12 @@ columns of a type, plus one start state per type before the first factor.
 ``None`` to its key column.  A missing transition runs the plain step
 (:func:`_step`) on the factor and that key column alone; a factor is first
 held to :func:`kncrystals.core.validate_column`, the check ``element()``
-makes, once per column in :func:`_key_columns`.  A step that raises is
-never stored, and a type stores at most ``STEP_TABLE_CAP`` transitions, the
-map's only bound.  No arm needs the shape: a descent in row r at factor p
-has the arm ``#{q >= p : h_q >= r}`` (in type C, the split filling's
-doubled arm halved back).
+makes, in :func:`_key_columns`.  A step that raises is never stored.
+``STEP_TABLE_CAP`` is charge's only bound on memory: a type stores at most
+that many transitions, and :func:`_key_columns` keeps the key columns of at
+most that many columns, dropping the least recently used.  No arm needs the
+shape: a descent in row r at factor p has the arm ``#{q >= p : h_q >= r}``
+(in type C, the split filling's doubled arm halved back).
 
 Both routes require the column heights to be weakly decreasing left to right;
 callers holding an unsorted element can reorder it with
@@ -50,7 +51,7 @@ from operator import lt, neg
 from .core import split_column, validate_column
 from .errors import HeightsNotSorted, NotPartitionContent, OddArmSum
 
-#: Transitions stored per type; a step past it runs plain on every call.
+#: Transitions stored per type, and columns whose key columns are kept.
 STEP_TABLE_CAP = 1 << 16
 
 #: Bits of a field of the packed prefix counts.  A field counts at most one
@@ -156,11 +157,11 @@ class CircFilling:
         return max(0, bisect_right(self.heights, -row, key=neg) - col)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=STEP_TABLE_CAP)
 def _key_columns(ct, col):
     """The key tuples of a factor: its two split halves in type C, else itself;
     a factor that is not a column raises what ``element()`` raises for it, a
-    check cached here to run once per column, not once per transition."""
+    check cached here to run once per kept column, not once per transition."""
     validate_column(ct, col)
     halves = split_column(ct, col) if ct.family == "C" else (col,)
     return tuple(tuple(ct.key(x) for x in half) for half in halves)
@@ -178,8 +179,7 @@ def _circ_step(ct, prev, col):
     """
     produced = []
     cells = []
-    half = 0  # counted by hand: enumerate here made charge about 10% slower
-    for keys in _key_columns(ct, col):
+    for half, keys in enumerate(_key_columns(ct, col)):
         if prev is not None:
             pool = list(keys)
             picks = []
@@ -196,7 +196,6 @@ def _circ_step(ct, prev, col):
             keys = tuple(picks)
         produced.append(keys)
         prev = keys
-        half = 1
     return produced, cells
 
 

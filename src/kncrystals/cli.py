@@ -42,7 +42,7 @@ def _heights(args, ct):
     # argparse requires exactly one of the two; an empty one is refused here
     if args.heights is not None:
         return _parse_ints(args.heights)
-    # refused before mu' is built when the shape is over the vertex budget
+    # only a first part too long to build mu' for is refused here
     return _budgeted_heights(ct, _parse_ints(args.mu))
 
 
@@ -83,7 +83,7 @@ def cmd_enumerate(args):
 
 def cmd_ground_states(args):
     ct = _cartan(args)
-    # no vertex budget here: ground_states bounds the states it finds
+    # ground_states holds its states x factors and columns x n to the budget
     if args.heights is not None:
         heights = _parse_ints(args.heights)
     else:

@@ -54,9 +54,6 @@ from .errors import (
 #: The one cap on exhaustive work, read by :func:`check_budget` at call time.
 VERTEX_BUDGET = 5_000_000
 
-#: Single columns are level-bounded by 1; 0-arrows are Demazure iff eps_0 >= this.
-DEMAZURE_LEVEL = 1
-
 
 @dataclass(frozen=True)
 class CartanType:
@@ -561,28 +558,21 @@ def crystal_size(ct, heights):
 def check_budget(ct, heights, per_vertex=1):
     """The vertex count; the one budget gate.  Raises ``ShapeTooLarge`` when
     vertices x ``per_vertex`` (``ct.n`` for n-entry work on every vertex)
-    exceed ``VERTEX_BUDGET``.  The count stops as soon as it passes the
-    budget, so the check is cheap for any rank and factor count, and a pass
-    is remembered per budget: a gate met again is one lookup."""
+    exceed ``VERTEX_BUDGET``, read on every call.  The count stops as soon
+    as it passes the budget, so the check is cheap for any rank and factor
+    count, and nothing is remembered between calls."""
     heights = tuple(heights)
-    key = ct, heights, per_vertex, VERTEX_BUDGET
-    size = _PASSED.get(key)
-    if size is None:
-        size = _capped_size(ct, heights, VERTEX_BUDGET)
-        if size > VERTEX_BUDGET:
-            shown = ", ".join(map(str, heights[:8])) + (", ..." if len(heights) > 8 else "")
-            raise ShapeTooLarge(
-                f"{len(heights)} factors of heights ({shown}) of {ct} have more than "
-                f"{VERTEX_BUDGET} vertices (the budget)"
-            )
-        if size * per_vertex > VERTEX_BUDGET:
-            raise ShapeTooLarge(f"{size} vertices x rank {per_vertex} of per-vertex work "
-                                f"exceed the budget {VERTEX_BUDGET}")
-        _PASSED[key] = size
+    size = _capped_size(ct, heights, VERTEX_BUDGET)
+    if size > VERTEX_BUDGET:
+        shown = ", ".join(map(str, heights[:8])) + (", ..." if len(heights) > 8 else "")
+        raise ShapeTooLarge(
+            f"{len(heights)} factors of heights ({shown}) of {ct} have more than "
+            f"{VERTEX_BUDGET} vertices (the budget)"
+        )
+    if size * per_vertex > VERTEX_BUDGET:
+        raise ShapeTooLarge(f"{size} vertices x rank {per_vertex} of per-vertex work "
+                            f"exceed the budget {VERTEX_BUDGET}")
     return size
-
-
-_PASSED = {}  # (ct, heights, per_vertex, budget) of each pass -> its vertex count
 
 
 def tensor_elements(ct, heights):

@@ -49,8 +49,9 @@ factor travels as its code, so no pair of columns is built.
 The affine grading checks D^R with neither charge nor the R-matrix: the
 fewest e_0 steps m from b to its ground state u_b equal D^R(b) - D^R(u_b).
 :func:`demazure_grading` grades a whole shape in one search, backwards from
-all ground states; :func:`demazure_grading_oracle` searches forwards from
-one element and is its independent second route.
+all ground states (:mod:`.kyoto` lists them, beside the walks' Demazure-arrow
+test); :func:`demazure_grading_oracle` searches forwards from one element
+and is its independent second route.
 """
 
 from __future__ import annotations
@@ -62,8 +63,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
+from . import kyoto
 from .core import (
-    DEMAZURE_LEVEL,
     TensorElement,
     _Lazy,
     _column_index,
@@ -78,7 +79,6 @@ from .core import (
     is_classical_highest,
     iter_tensor_elements,
     lusztig_involution,
-    phi,
 )
 from .errors import ComponentCorrupt, NoMatchingComponent, TargetUnreachable
 
@@ -423,13 +423,6 @@ def energy_report(elem):
     )
 
 
-def is_demazure_arrow(elem, i):
-    """Whether f_i is a Demazure arrow at this element (level bound 1)."""
-    if phi(elem, i) == 0:
-        return False
-    return i != 0 or eps(elem, 0) >= DEMAZURE_LEVEL
-
-
 def is_ground_state(elem):
     """Whether elem (x) u_{Lambda_0} is highest weight: the ground-state test.
 
@@ -499,12 +492,10 @@ def demazure_grading(ct, heights):
     unique, so a vertex reached from two ground states raises
     ``ComponentCorrupt``, and one never reached raises ``TargetUnreachable``.
     """
-    from .kyoto import ground_states  # kyoto imports this module
-
     heights = tuple(heights)
     # every f_i runs on every vertex
     size = check_budget(ct, heights, ct.n)
-    grading = {g.element: (g.element, 0) for g in ground_states(ct, heights)}
+    grading = {g.element: (g.element, 0) for g in kyoto.ground_states(ct, heights)}
     classical = ct.classical_indices
 
     def reach(b, label):

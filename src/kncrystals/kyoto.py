@@ -2,15 +2,18 @@
 
 A ground state of B^{r_N,1} (x) ... (x) B^{r_1,1} is an element u such that
 u (x) u_{Lambda_0} is highest weight; :func:`.energy.is_ground_state` is the
-one definition of that test.  The states are built factor by factor from
-the right: b_1 ranges over the elements with eps(b_1) = Lambda_0, and each
-next factor over those with eps(b_{k+1}) = phi(b_k).  Type A crystals are
-perfect, so the chain is forced and there is a single ground state; in type
-C every step may branch and the construction yields a tree of states.  The
-weight of a state is phi(b_N), always a single fundamental weight.
+one definition of that test.  :mod:`.energy` imports this module, not the
+other way round: :func:`.energy.demazure_grading` searches from the states
+listed here.  The states are built factor by factor from the right: b_1
+ranges over the elements with eps(b_1) = Lambda_0, and each next factor
+over those with eps(b_{k+1}) = phi(b_k).  Type A crystals are perfect, so
+the chain is forced and there is a single ground state; in type C every
+step may branch and the construction yields a tree of states.  The weight
+of a state is phi(b_N), always a single fundamental weight.
 
 From each type C ground state an explicit sequence of Demazure arrows leads
-to an element with no barred letters: the shape sequence grows by one
+to an element with no barred letters, each 0-arrow held to
+:func:`is_demazure_arrow`: the shape sequence grows by one
 horizontal domino per step, wrapping completed height-n columns, and the
 lowering word F_j is read off the current shape.  The same element is
 produced directly by the cut construction, which lays out one column of
@@ -23,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import core
 from .core import (
     TensorElement,
     _require_factors,
@@ -30,14 +34,22 @@ from .core import (
     column_eps_weight,
     column_phi_weight,
     columns,
+    eps,
     f,
+    phi,
 )
-from .energy import is_demazure_arrow
 from .errors import BarredResidue, NonDemazureArrow, NotFundamental, ShapeTooLarge
 
 
-#: Ground states one call lists; one more raises ``ShapeTooLarge``.
-GROUND_STATE_CAP = 100_000
+#: Single columns are level-bounded by 1; 0-arrows are Demazure iff eps_0 >= this.
+DEMAZURE_LEVEL = 1
+
+
+def is_demazure_arrow(elem, i):
+    """Whether f_i is a Demazure arrow at this element (level bound 1)."""
+    if phi(elem, i) == 0:
+        return False
+    return i != 0 or eps(elem, 0) >= DEMAZURE_LEVEL
 
 
 @dataclass(frozen=True)
@@ -70,9 +82,11 @@ def ground_states(ct, heights):
 
     ``heights`` lists the factors left to right, so the chain starts at the
     last entry.  States are returned sorted by their factor serialization.
+    States x factors are held to ``core.VERTEX_BUDGET``, read at call time.
     """
     heights = tuple(heights)
     _require_factors(heights)
+    cap = core.VERTEX_BUDGET // len(heights)
     # the column tables, budget-checked, come before any weight vector
     by_eps = [_columns_by_eps(ct, h) for h in reversed(heights)]
     out = []
@@ -94,8 +108,8 @@ def ground_states(ct, heights):
             col, chain = chain
             factors.append(col)
         out.append(GroundState(TensorElement(ct, tuple(factors)), h))
-        if len(out) > GROUND_STATE_CAP:
-            raise ShapeTooLarge(f"more than {GROUND_STATE_CAP} ground states")
+        if len(out) > cap:
+            raise ShapeTooLarge(f"{len(out)} states x {len(heights)} factors exceed the budget")
     out.sort(key=lambda g: g.element.sort_key())
     return out
 

@@ -15,8 +15,8 @@ import json
 from dataclasses import dataclass, field
 
 from .core import CartanType, element
-from .energy import is_demazure_arrow
 from .errors import ParseError
+from .kyoto import is_demazure_arrow
 
 REPORT_SCHEMA_VERSION = 1
 

@@ -323,6 +323,11 @@ def test_capped_tables_change_no_charge(fresh_store, monkeypatch):
         assert stored == cap == charge_module._STORE[ct, "registry"][None]
 
 
+def test_key_columns_are_kept_for_at_most_the_cap():
+    # the per-column key cache is charge's other store, bounded by the same cap
+    assert charge_module._key_columns.cache_info().maxsize == charge_module.STEP_TABLE_CAP
+
+
 def test_a_raising_step_is_never_stored(fresh_store, monkeypatch):
     b = element(C2, [(1,)])
     monkeypatch.setattr(charge_module, "_key_columns", lambda ct, col: ((2,), (1,)))

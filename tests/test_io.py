@@ -402,6 +402,16 @@ def test_cli_graph_within_the_rank_budget():
     assert done.stdout.count("->") == 599
 
 
+@pytest.mark.parametrize("shape", ["--mu", "--heights"])
+def test_cli_bench_samples_a_shape_over_the_vertex_budget(shape):
+    # C5 (5,4,3,2,1) has 1,054,152,000 vertices; bench only samples them,
+    # so neither shape option gates it
+    done = _python("-m", "kncrystals.cli", "bench", "-t", "C", "-n", "5", shape, "5,4,3,2,1",
+                   "--trials", "20", "--repeats", "1", "--json")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["agreement"] is True
+
+
 def test_cli_ground_states_of_many_factors():
     # chains share their prefixes, so the work is linear in the factor count
     done = _python("-m", "kncrystals.cli", "ground-states", "-t", "A", "-n", "2",

@@ -2,7 +2,6 @@ import pytest
 from util import theorem_shapes
 
 import kncrystals.core as core_module
-import kncrystals.kyoto as kyoto_module
 from kncrystals import (
     CartanType,
     ShapeState,
@@ -175,9 +174,10 @@ def test_ground_states_of_many_factors(monkeypatch):
     # the chain is built on an explicit stack, so no recursion limit applies
     (state,) = ground_states(CartanType("A", 2), (1,) * 2000)
     assert len(state.element.factors) == 2000
-    monkeypatch.setattr(kyoto_module, "GROUND_STATE_CAP", 100)
+    # states x factors are held to the vertex budget, read at call time
+    monkeypatch.setattr(core_module, "VERTEX_BUDGET", 2_000)
     with pytest.raises(ShapeTooLarge):
-        # 1,024 states
+        # 1,024 states x 20 factors
         ground_states(CartanType("C", 2), (1,) * 20)
 
 
