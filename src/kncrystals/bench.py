@@ -7,9 +7,11 @@ import random
 import time
 from dataclasses import asdict, dataclass
 
+from . import core
 from .charge import charge
 from .core import TensorElement, _require_factors, columns
 from .energy import energy_DL, local_table
+from .errors import ShapeTooLarge
 
 
 @dataclass
@@ -49,7 +51,9 @@ def run_bench(ct, heights, trials=10_000, seed=0, repeats=3):
     """Sample random elements and time charge against warm-table energy.
 
     Every sampled element is also checked for D = -charge; the ratio is
-    reported without asserting a threshold.
+    reported without asserting a threshold.  The shape is only sampled, so
+    its vertices are not counted: the sample, trials x factors, is held to
+    ``core.VERTEX_BUDGET`` instead.
     """
     import statistics  # here, not at module level: it pulls in fractions and decimal
 
@@ -57,6 +61,9 @@ def run_bench(ct, heights, trials=10_000, seed=0, repeats=3):
         raise ValueError(f"trials ({trials}) and repeats ({repeats}) must be >= 1")
     heights = tuple(heights)
     _require_factors(heights)
+    if trials * len(heights) > core.VERTEX_BUDGET:
+        raise ShapeTooLarge(f"{trials} trials x {len(heights)} factors exceed the budget "
+                            f"{core.VERTEX_BUDGET}")
     rng = random.Random(seed)
     pools = [columns(ct, h) for h in heights]
     sample = [

@@ -6,23 +6,17 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 
 from . import core
 from .bench import run_bench
 from .charge import charge as charge_of
-from .core import CartanType, crystal_graph
+from .core import CartanType, check_budget, crystal_graph, iter_tensor_elements
 from .energy import energy_DL, energy_DR
 from .errors import CrystalError
 from .kyoto import ground_states
-from .qpoly import (
-    _budgeted_heights,
-    kostka_foulkes,
-    macdonald_p_q0,
-    one_dim_sum_X,
-    shape_heights,
-    sort_via_rmatrix,
-)
+from .qpoly import kostka_foulkes, macdonald_p_q0, one_dim_sum_X, shape_heights, sort_via_rmatrix
 from .serialize import graph_to_dot, parse_filling, serialize_filling
 from .verify import SUITE_NAMES, run_verify
 
@@ -42,8 +36,7 @@ def _heights(args, ct):
     # argparse requires exactly one of the two; an empty one is refused here
     if args.heights is not None:
         return _parse_ints(args.heights)
-    # only a first part too long to build mu' for is refused here
-    return _budgeted_heights(ct, _parse_ints(args.mu))
+    return shape_heights(ct, _parse_ints(args.mu))
 
 
 def _add_shape_options(sub):
@@ -72,23 +65,18 @@ def cmd_enumerate(args):
     ct = _cartan(args)
     if args.limit is not None and args.limit < 0:
         raise ValueError(f"--limit must be at least 0, got {args.limit}")
-    from .core import tensor_elements
-
-    elems = tensor_elements(ct, _heights(args, ct))
-    print(len(elems))
-    for b in elems if args.limit is None else elems[: args.limit]:
+    heights = _heights(args, ct)
+    # the count in closed form, then the vertices one at a time
+    print(check_budget(ct, heights))
+    for b in itertools.islice(iter_tensor_elements(ct, heights), args.limit):
         print(serialize_filling(b))
     return 0
 
 
 def cmd_ground_states(args):
     ct = _cartan(args)
-    # ground_states holds its states x factors and columns x n to the budget
-    if args.heights is not None:
-        heights = _parse_ints(args.heights)
-    else:
-        heights = shape_heights(ct, _parse_ints(args.mu))
-    states = ground_states(ct, heights)
+    # ground_states holds its factors, states x factors and columns x n to the budget
+    states = ground_states(ct, _heights(args, ct))
     print(len(states))
     for g in states:
         print(f"L{g.weight_index}: {serialize_filling(g.element)}")

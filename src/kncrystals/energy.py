@@ -63,7 +63,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from . import kyoto
+from . import core, kyoto
 from .core import (
     TensorElement,
     _Lazy,
@@ -80,7 +80,7 @@ from .core import (
     iter_tensor_elements,
     lusztig_involution,
 )
-from .errors import ComponentCorrupt, NoMatchingComponent, TargetUnreachable
+from .errors import ComponentCorrupt, NoMatchingComponent, ShapeTooLarge, TargetUnreachable
 
 
 # On a pair the signature rule collapses to the textbook comparison: f acts
@@ -447,9 +447,11 @@ def demazure_grading_oracle(elem):
     target's by one.)
 
     This searches from one element; :func:`demazure_grading` grades a whole
-    shape in one search and must agree with it at every vertex.
+    shape in one search and must agree with it at every vertex.  The visited
+    set is held to ``core.VERTEX_BUDGET`` as it grows, raising
+    ``ShapeTooLarge`` once it passes it.
     """
-    ct = elem.cartan
+    ct, budget = elem.cartan, core.VERTEX_BUDGET
     dist = {elem: 0}
     queue = deque([elem])
     while queue:
@@ -471,6 +473,8 @@ def demazure_grading_oracle(elem):
             nd = d + cost
             if nxt not in dist or nd < dist[nxt]:
                 dist[nxt] = nd
+                if len(dist) > budget:
+                    raise ShapeTooLarge(f"the search from {elem} visits over {budget} vertices")
                 if cost == 0:
                     queue.appendleft(nxt)
                 else:

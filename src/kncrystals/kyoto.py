@@ -82,11 +82,14 @@ def ground_states(ct, heights):
 
     ``heights`` lists the factors left to right, so the chain starts at the
     last entry.  States are returned sorted by their factor serialization.
-    States x factors are held to ``core.VERTEX_BUDGET``, read at call time.
+    States x factors are held to ``core.VERTEX_BUDGET``, read at call time,
+    so more factors than the budget are refused before the chain walk.
     """
     heights = tuple(heights)
     _require_factors(heights)
     cap = core.VERTEX_BUDGET // len(heights)
+    if not cap:
+        raise ShapeTooLarge(f"{len(heights)} factors exceed the budget {core.VERTEX_BUDGET}")
     # the column tables, budget-checked, come before any weight vector
     by_eps = [_columns_by_eps(ct, h) for h in reversed(heights)]
     out = []

@@ -15,6 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import add, lt
 
+from . import core
 from .charge import _FIELD_MASK, _require_sorted, _start, _step, charge
 from .core import (
     TensorElement,
@@ -26,40 +27,35 @@ from .core import (
     weight,
 )
 from .energy import _ROWS, _chain_sum, combinatorial_r, energy_DL
-from .errors import EnergyInconsistent, WeightMismatch
+from .errors import EnergyInconsistent, ShapeTooLarge, WeightMismatch
 
 
 def conjugate(mu):
-    """The transposed partition."""
+    """The transposed partition, in O(len(mu) + mu[0]): part j of mu is the
+    height of mu[j - 1] - mu[j] columns."""
     mu = tuple(mu)
     if any(a < b for a, b in zip(mu, mu[1:])) or any(p <= 0 for p in mu):
         raise ValueError(f"{mu} is not a partition")
-    return tuple(sum(1 for p in mu if p >= i) for i in range(1, (mu[0] if mu else 0) + 1))
+    steps = zip(range(len(mu), 0, -1), reversed(mu), reversed(mu[1:] + (0,)))
+    return tuple(itertools.chain.from_iterable(itertools.repeat(j, a - b) for j, a, b in steps))
 
 
 def shape_heights(ct, mu):
-    """Factor heights of B_mu: the conjugate parts, tallest first."""
+    """Factor heights of B_mu, the conjugate parts tallest first: the one gate
+    of a partition.  mu[0] is the factor count, and every route holds its
+    factors to ``core.VERTEX_BUDGET``, so a longer first part raises
+    ``ShapeTooLarge`` before mu' is built.  The vertices are not counted
+    here: each route that enumerates them passes
+    :func:`kncrystals.core.check_budget` itself, and ``bench`` only samples."""
+    mu = tuple(mu)
+    if mu and mu[0] > core.VERTEX_BUDGET:
+        raise ShapeTooLarge(f"mu[0] = {mu[0]} factors exceed the budget {core.VERTEX_BUDGET}")
     heights = conjugate(mu)
     if heights and heights[0] > ct.max_height:
         raise ValueError(
             f"column height {heights[0]} of mu' exceeds {ct.max_height} for {ct}"
         )
     return heights
-
-
-def _budgeted_heights(ct, mu):
-    """``shape_heights``, refusing a first part too long to build mu' for.
-
-    B_mu has mu[0] factors of at least two columns each, so its first 64
-    columns alone have at least 2^64 vertices: a longer first part is held
-    to the budget on those columns before all of mu' is built.  The whole
-    shape is not gated here: each route that enumerates it passes
-    :func:`kncrystals.core.check_budget` itself, and ``bench`` only samples.
-    """
-    mu = tuple(mu)
-    if mu and mu[0] > 64:
-        check_budget(ct, shape_heights(ct, [min(p, 64) for p in mu]))
-    return shape_heights(ct, mu)
 
 
 @dataclass(frozen=True)
@@ -203,7 +199,7 @@ def _prefix_scan(ct, heights, _energy=True):
 
 def macdonald_p_q0(ct, mu):
     """P_mu(x; q, 0) as the charge generating function over B_mu."""
-    heights = _budgeted_heights(ct, mu)
+    heights = shape_heights(ct, mu)
     check_budget(ct, heights, ct.n)  # an n-entry weight at every scan node
     return QXPolynomial.from_dict(
         Counter((c, wt) for _, c, _, wt in _prefix_scan(ct, heights, _energy=False))
@@ -235,7 +231,7 @@ def kostka_foulkes(ct, lam, mu):
     lam, mu = tuple(lam), tuple(mu)
     if sum(lam) != sum(mu):
         raise WeightMismatch(f"|{lam}| != |{mu}|")
-    return _graded_highest(ct, _budgeted_heights(ct, mu), lam, charge)
+    return _graded_highest(ct, shape_heights(ct, mu), lam, charge)
 
 
 def one_dim_sum_X(ct, lam, heights):
@@ -291,7 +287,7 @@ def schur_expansion_reconstruction(ct, mu):
     """Assemble sum_lambda K_{lambda' mu'}(q) s_lambda as a QXPolynomial."""
     if ct.family != "A":
         raise ValueError("the Schur reconstruction is a type A identity")
-    heights = _budgeted_heights(ct, mu)
+    heights = shape_heights(ct, mu)
     acc = {}
     for lam_content in dominant_contents(ct, heights):
         lam = tuple(p for p in lam_content if p > 0)

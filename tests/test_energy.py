@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from util import energy_module
 
@@ -24,6 +26,7 @@ from kncrystals import (
     local_energy,
     local_table,
     lusztig_involution,
+    parse_filling,
     phi,
     tau,
 )
@@ -247,6 +250,18 @@ def test_oracle_target_reached_immediately():
     b = element(C3, [(2,), (2, -2), (-3, -2), (1, 2, 3)])
     u_b, m = demazure_grading_oracle(b)
     assert u_b == b and m == 0
+
+
+def test_oracle_holds_its_search_to_the_budget(monkeypatch):
+    # the search from this element of C4 (4,3,3,2,2,1,1) visits 2,767 vertices
+    b = parse_filling("C4; 3,4,-4,-3 | 3,-4,-2 | 2,3,-3 | 1,3 | -3,-1 | 1 | 2")
+    monkeypatch.setattr(core_module, "VERTEX_BUDGET", 2_767)
+    demazure_grading_oracle(b)
+    monkeypatch.setattr(core_module, "VERTEX_BUDGET", 1_000)
+    start = time.perf_counter()
+    with pytest.raises(ShapeTooLarge):
+        demazure_grading_oracle(b)
+    assert time.perf_counter() - start < 1
 
 
 def test_oracle_type_a_target_independent_of_element():

@@ -3,9 +3,11 @@ import json
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from importlib import import_module
 from pathlib import Path
 
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 import kncrystals
 from kncrystals import (
     CartanType,
+    core,
     columns,
     crystal_graph,
     crystal_size,
@@ -440,6 +443,106 @@ def test_cli_enumerate_limit(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--limit" in captured.err
+
+
+def test_cli_enumerate_streams_its_vertices(capsys):
+    # the output is the closed-form count, then the first --limit vertices
+    ct, heights = C3, (2, 1)
+    lines = [str(crystal_size(ct, heights))]
+    lines += [serialize_filling(b) for b in tensor_elements(ct, heights)]
+    for limit in (None, 0, 5):
+        argv = ["enumerate", "-t", "C", "-n", "3", "--heights", "2,1"]
+        assert main(argv + ([] if limit is None else ["--limit", str(limit)])) == 0
+        shown = lines if limit is None else lines[: limit + 1]
+        assert capsys.readouterr().out == "".join(f"{line}\n" for line in shown)
+    # 98,784 vertices: the count must not cost a list of them
+    tracemalloc.start()
+    try:
+        assert main(["enumerate", "-t", "C", "-n", "3", "--heights", "3,2,2,1,1",
+                     "--limit", "0"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out == "98784\n"
+    assert peak < 1_000_000, peak
+
+
+class _Overtime(BaseException):
+    """Raised by the alarm; not an ``OSError``, so ``main`` cannot report it as exit 2."""
+
+
+def _overtime(_signum, _frame):
+    raise _Overtime
+
+
+def _exit_within_a_second(argv):
+    previous = signal.signal(signal.SIGALRM, _overtime)
+    signal.alarm(1)
+    try:
+        return main(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+_ONES = ",".join(["1"] * 65)
+_OVER = ",".join(["1"] * 1001)
+# (rank, --mu, --heights of the same shape or None, vertex budget or None)
+_EXTREME_SHAPES = {
+    "65-factors": (3, "65", _ONES, None),
+    # mu' has 10^7 parts; written out as --heights it is 20 MB of text
+    "10^7-factors": (3, "10000000", None, None),
+    "factors-over-the-budget": (3, "1001", _OVER, 1_000),
+    "too-tall-a-column": (3, "1,1,1,1,1", "5", None),
+    "rank-10^12": (10**12, "1", "1", None),
+}
+# subcommand -> (its further options, whether it takes --heights)
+_SHAPE_SUBCOMMANDS = {
+    "enumerate": ([], True),
+    "ground-states": ([], True),
+    "macdonald": ([], False),
+    "kostka": ([], False),  # and --lambda
+    "xsum": ([], True),  # and --lambda
+    "graph": (["--classical"], True),
+    "verify": ([], True),
+    "bench": (["--trials", "20", "--repeats", "1"], True),
+}
+
+
+@pytest.mark.parametrize("family", ["A", "C"])
+@pytest.mark.parametrize("shape", _EXTREME_SHAPES)
+@pytest.mark.parametrize("command", _SHAPE_SUBCOMMANDS)
+def test_cli_extreme_shapes_exit_within_a_second(command, shape, family, monkeypatch, capsys):
+    # in process, under an alarm: no subprocess and no thread per case
+    n, mu, heights, budget = _EXTREME_SHAPES[shape]
+    if budget is not None:
+        monkeypatch.setattr(core, "VERTEX_BUDGET", budget)
+    extra, takes_heights = _SHAPE_SUBCOMMANDS[command]
+    forms = [("--mu", mu)] + ([("--heights", heights)] if takes_heights and heights else [])
+    codes = []
+    for option, text in forms:
+        if command in ("kostka", "xsum"):
+            extra = ["--lambda", str(sum(map(int, text.split(","))))]
+        argv = [command, "-t", family, "-n", str(n), option, text, *extra]
+        codes.append(_exit_within_a_second(argv))
+        capsys.readouterr()
+    assert set(codes) <= {0, 1, 2}, codes
+    # a shape runs or is refused alike, whichever option gives it
+    assert len(set(codes)) == 1, codes
+
+
+def test_cli_bench_mu_agrees_with_heights_past_64_factors(capsys):
+    reports = []
+    for option, text in (("--mu", "65"), ("--heights", _ONES)):
+        argv = ["bench", "-t", "A", "-n", "3", option, text, "--trials", "20", "--repeats", "1",
+                "--json"]
+        assert main(argv) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    untimed = [{k: v for k, v in r.items() if "ns" not in k and "seconds" not in k
+                and "ratio" not in k} for r in reports]
+    assert untimed[0] == untimed[1]
+    assert untimed[0]["agreement"] is True
+    assert len(untimed[0]["heights"]) == 65
 
 
 _RANK_PROBE = """

@@ -2,6 +2,7 @@ import pytest
 from util import theorem_shapes
 
 import kncrystals.core as core_module
+import kncrystals.kyoto as kyoto_module
 from kncrystals import (
     CartanType,
     ShapeState,
@@ -179,6 +180,17 @@ def test_ground_states_of_many_factors(monkeypatch):
     with pytest.raises(ShapeTooLarge):
         # 1,024 states x 20 factors
         ground_states(CartanType("C", 2), (1,) * 20)
+
+
+def test_ground_states_refuse_more_factors_than_the_budget_before_the_walk(monkeypatch):
+    def fail(*args):
+        raise AssertionError("the chain walk started")
+
+    monkeypatch.setattr(core_module, "VERTEX_BUDGET", 1_000)
+    # the column tables come before the first chain cell is pushed
+    monkeypatch.setattr(kyoto_module, "_columns_by_eps", fail)
+    with pytest.raises(ShapeTooLarge, match="2000 factors"):
+        ground_states(A2, (1,) * 2000)
 
 
 def test_ground_states_hold_columns_times_rank_to_the_budget(monkeypatch):

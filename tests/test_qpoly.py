@@ -36,6 +36,36 @@ def test_conjugate():
         conjugate((1, 2))
 
 
+def test_conjugate_is_the_column_lengths():
+    # the column lengths, counted part by part, on every partition of 1..8
+    for size in range(1, 9):
+        for mu in partitions_of(size):
+            expected = tuple(sum(1 for p in mu if p >= i) for i in range(1, mu[0] + 1))
+            assert conjugate(mu) == expected
+    assert conjugate(()) == ()
+    # linear in len(mu) + mu[0]: a million columns of height 1
+    assert conjugate((10**6,)) == (1,) * 10**6
+
+
+def test_shape_heights_refuses_more_factors_than_the_budget(monkeypatch):
+    monkeypatch.setattr(core_module, "VERTEX_BUDGET", 1_000)
+    assert shape_heights(C3, (1_000, 1)) == (2,) + (1,) * 999
+
+    def fail(*args):
+        raise AssertionError("mu' was built")
+
+    # mu[0] is the factor count; mu' is not built for a longer first part
+    monkeypatch.setattr(qpoly_module, "conjugate", fail)
+    for mu in ((1_001,), (10**12, 3, 1)):
+        with pytest.raises(ShapeTooLarge, match="factors exceed the budget 1000"):
+            shape_heights(A1, mu)
+    for run in (lambda: macdonald_p_q0(A1, (1_001,)),
+                lambda: kostka_foulkes(A1, (1_001,), (1_001,)),
+                lambda: schur_expansion_reconstruction(A1, (1_001,))):
+        with pytest.raises(ShapeTooLarge):
+            run()
+
+
 def test_macdonald_single_box():
     p = macdonald_p_q0(A1, (1,))
     assert p.as_dict() == {(0, (1, 0)): 1, (0, (0, 1)): 1}
