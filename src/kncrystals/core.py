@@ -51,8 +51,16 @@ from .errors import (
     SplitImpossible,
 )
 
-#: The one cap on exhaustive work, read by :func:`check_budget` at call time.
+#: The one cap on work, read by :func:`hold_to_budget` on every call.
 VERTEX_BUDGET = 5_000_000
+
+
+def hold_to_budget(work, what):
+    """The one budget gate: ``ShapeTooLarge`` when ``work`` exceeds
+    ``VERTEX_BUDGET``, read on every call, with the message "<what()> exceed
+    the budget B".  ``what`` is called only on a refusal, so a pass formats nothing."""
+    if work > VERTEX_BUDGET:
+        raise ShapeTooLarge(f"{what()} exceed the budget {VERTEX_BUDGET}")
 
 
 @dataclass(frozen=True)
@@ -361,14 +369,6 @@ def column_e(ct, i, col):
     return _TABLES[ct, i][col][3]
 
 
-def column_eps_weight(ct, col):
-    return tuple(column_eps_phi(ct, i, col)[0] for i in ct.index_set)
-
-
-def column_phi_weight(ct, col):
-    return tuple(column_eps_phi(ct, i, col)[1] for i in ct.index_set)
-
-
 # ---------------------------------------------------------------------------
 # tensor elements
 
@@ -556,22 +556,20 @@ def crystal_size(ct, heights):
 
 
 def check_budget(ct, heights, per_vertex=1):
-    """The vertex count; the one budget gate.  Raises ``ShapeTooLarge`` when
-    vertices x ``per_vertex`` (``ct.n`` for n-entry work on every vertex)
-    exceed ``VERTEX_BUDGET``, read on every call.  The count stops as soon
-    as it passes the budget, so the check is cheap for any rank and factor
-    count, and nothing is remembered between calls."""
+    """The vertex count in closed form; vertices x ``per_vertex`` (``ct.n``
+    for n-entry work on every vertex) pass :func:`hold_to_budget`.  The count
+    stops once it passes the budget, so the check is cheap for any rank and
+    factor count, and nothing is remembered between calls."""
     heights = tuple(heights)
     size = _capped_size(ct, heights, VERTEX_BUDGET)
-    if size > VERTEX_BUDGET:
+
+    def what():
         shown = ", ".join(map(str, heights[:8])) + (", ..." if len(heights) > 8 else "")
-        raise ShapeTooLarge(
-            f"{len(heights)} factors of heights ({shown}) of {ct} have more than "
-            f"{VERTEX_BUDGET} vertices (the budget)"
-        )
-    if size * per_vertex > VERTEX_BUDGET:
-        raise ShapeTooLarge(f"{size} vertices x rank {per_vertex} of per-vertex work "
-                            f"exceed the budget {VERTEX_BUDGET}")
+        count = f"more than {VERTEX_BUDGET}" if size > VERTEX_BUDGET else size
+        rank = f" x rank {per_vertex} of per-vertex work" if per_vertex > 1 else ""
+        return f"{len(heights)} factors of heights ({shown}) of {ct}: {count} vertices{rank}"
+
+    hold_to_budget(size * per_vertex, what)
     return size
 
 

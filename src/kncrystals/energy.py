@@ -63,7 +63,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from . import core, kyoto
+from . import kyoto
 from .core import (
     TensorElement,
     _Lazy,
@@ -76,11 +76,12 @@ from .core import (
     e,
     eps,
     f,
+    hold_to_budget,
     is_classical_highest,
     iter_tensor_elements,
     lusztig_involution,
 )
-from .errors import ComponentCorrupt, NoMatchingComponent, ShapeTooLarge, TargetUnreachable
+from .errors import ComponentCorrupt, NoMatchingComponent, TargetUnreachable
 
 
 # On a pair the signature rule collapses to the textbook comparison: f acts
@@ -448,10 +449,10 @@ def demazure_grading_oracle(elem):
 
     This searches from one element; :func:`demazure_grading` grades a whole
     shape in one search and must agree with it at every vertex.  The visited
-    set is held to ``core.VERTEX_BUDGET`` as it grows, raising
-    ``ShapeTooLarge`` once it passes it.
+    set passes :func:`kncrystals.core.hold_to_budget` as it grows, raising
+    ``ShapeTooLarge`` once it holds more vertices than the budget.
     """
-    ct, budget = elem.cartan, core.VERTEX_BUDGET
+    ct = elem.cartan
     dist = {elem: 0}
     queue = deque([elem])
     while queue:
@@ -473,8 +474,8 @@ def demazure_grading_oracle(elem):
             nd = d + cost
             if nxt not in dist or nd < dist[nxt]:
                 dist[nxt] = nd
-                if len(dist) > budget:
-                    raise ShapeTooLarge(f"the search from {elem} visits over {budget} vertices")
+                hold_to_budget(len(dist),
+                               lambda: f"{len(dist)} vertices visited by the search from {elem}")
                 if cost == 0:
                     queue.appendleft(nxt)
                 else:

@@ -32,7 +32,7 @@ class ComponentCorrupt(CrystalError):
 
 
 class ShapeTooLarge(CrystalError):
-    """The requested enumeration exceeds the vertex budget."""
+    """The requested work exceeds the vertex budget."""
 
 
 class NoMatchingComponent(CrystalError):

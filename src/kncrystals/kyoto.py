@@ -26,19 +26,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import core
 from .core import (
     TensorElement,
     _require_factors,
     check_budget,
-    column_eps_weight,
-    column_phi_weight,
+    column_eps_phi,
     columns,
     eps,
     f,
+    hold_to_budget,
     phi,
 )
-from .errors import BarredResidue, NonDemazureArrow, NotFundamental, ShapeTooLarge
+from .errors import BarredResidue, NonDemazureArrow, NotFundamental
 
 
 #: Single columns are level-bounded by 1; 0-arrows are Demazure iff eps_0 >= this.
@@ -67,7 +66,8 @@ def _columns_by_eps(ct, height):
     check_budget(ct, (height,), ct.n)
     table = {}
     for col in columns(ct, height):
-        table.setdefault(column_eps_weight(ct, col), []).append((col, column_phi_weight(ct, col)))
+        eps_weight, phi_weight = zip(*(column_eps_phi(ct, i, col) for i in ct.index_set))
+        table.setdefault(eps_weight, []).append((col, phi_weight))
     return table
 
 
@@ -82,14 +82,13 @@ def ground_states(ct, heights):
 
     ``heights`` lists the factors left to right, so the chain starts at the
     last entry.  States are returned sorted by their factor serialization.
-    States x factors are held to ``core.VERTEX_BUDGET``, read at call time,
-    so more factors than the budget are refused before the chain walk.
+    States x factors pass :func:`kncrystals.core.hold_to_budget` as each
+    state is listed, and the factors alone before the chain walk, so more
+    factors than the budget are refused before any column table is built.
     """
     heights = tuple(heights)
     _require_factors(heights)
-    cap = core.VERTEX_BUDGET // len(heights)
-    if not cap:
-        raise ShapeTooLarge(f"{len(heights)} factors exceed the budget {core.VERTEX_BUDGET}")
+    hold_to_budget(len(heights), lambda: f"{len(heights)} factors")
     # the column tables, budget-checked, come before any weight vector
     by_eps = [_columns_by_eps(ct, h) for h in reversed(heights)]
     out = []
@@ -111,8 +110,8 @@ def ground_states(ct, heights):
             col, chain = chain
             factors.append(col)
         out.append(GroundState(TensorElement(ct, tuple(factors)), h))
-        if len(out) > cap:
-            raise ShapeTooLarge(f"{len(out)} states x {len(heights)} factors exceed the budget")
+        hold_to_budget(len(out) * len(heights),
+                       lambda: f"{len(out)} states x {len(heights)} factors")
     out.sort(key=lambda g: g.element.sort_key())
     return out
 

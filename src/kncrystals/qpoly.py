@@ -15,19 +15,19 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import add, lt
 
-from . import core
 from .charge import _FIELD_MASK, _require_sorted, _start, _step, charge
 from .core import (
     TensorElement,
     check_budget,
     column_content,
     columns,
+    hold_to_budget,
     is_classical_highest,
     iter_tensor_elements,
     weight,
 )
 from .energy import _ROWS, _chain_sum, combinatorial_r, energy_DL
-from .errors import EnergyInconsistent, ShapeTooLarge, WeightMismatch
+from .errors import EnergyInconsistent, WeightMismatch
 
 
 def conjugate(mu):
@@ -43,13 +43,13 @@ def conjugate(mu):
 def shape_heights(ct, mu):
     """Factor heights of B_mu, the conjugate parts tallest first: the one gate
     of a partition.  mu[0] is the factor count, and every route holds its
-    factors to ``core.VERTEX_BUDGET``, so a longer first part raises
-    ``ShapeTooLarge`` before mu' is built.  The vertices are not counted
-    here: each route that enumerates them passes
+    factors to the budget through :func:`kncrystals.core.hold_to_budget`, so
+    a longer first part raises ``ShapeTooLarge`` before mu' is built.  The
+    vertices are not counted here: each route that enumerates them passes
     :func:`kncrystals.core.check_budget` itself, and ``bench`` only samples."""
     mu = tuple(mu)
-    if mu and mu[0] > core.VERTEX_BUDGET:
-        raise ShapeTooLarge(f"mu[0] = {mu[0]} factors exceed the budget {core.VERTEX_BUDGET}")
+    if mu:
+        hold_to_budget(mu[0], lambda: f"mu[0] = {mu[0]} factors")
     heights = conjugate(mu)
     if heights and heights[0] > ct.max_height:
         raise ValueError(

@@ -25,13 +25,17 @@ from kncrystals import (
     column_f,
     crystal_graph,
     crystal_size,
+    demazure_grading_oracle,
     e,
     element,
     eps,
     f,
+    ground_states,
     involution_map,
     lusztig_involution,
+    parse_filling,
     phi,
+    run_bench,
     shape_heights,
     split_column,
     tensor_elements,
@@ -616,3 +620,57 @@ def test_budget_message_names_few_heights(monkeypatch):
     monkeypatch.setattr(core_module, "VERTEX_BUDGET", 10)
     with pytest.raises(ShapeTooLarge, match=r"2 factors of heights \(3, 2\) of C3"):
         check_budget(C3, (3, 2))
+
+
+# the search from this element of C4 (4,3,3,2,2,1,1) visits 2,767 vertices
+_ORACLE_START = "C4; 3,4,-4,-3 | 3,-4,-2 | 2,3,-3 | 1,3 | -3,-1 | 1 | 2"
+# route -> (its work - 1, the largest budget that refuses it; the call; the
+# words of the refusal that name the work)
+_REFUSALS = {
+    "shape_heights": (999, lambda: shape_heights(A2, (1_000,)), "mu[0] = 1000 factors"),
+    "ground_states-factors": (
+        999, lambda: ground_states(A2, (1,) * 1_000), "1000 factors"),
+    # 4 states x 4 factors
+    "ground_states-states": (
+        15, lambda: ground_states(C2, (1,) * 4), "4 states x 4 factors"),
+    # 100 trials x (3 factor draws + 3 D^L steps of 3 factors)
+    "run_bench": (
+        599, lambda: run_bench(A2, (1, 1, 1), trials=100, repeats=1), "100 trials x 6"),
+    "demazure_grading_oracle": (
+        2_766, lambda: demazure_grading_oracle(parse_filling(_ORACLE_START)),
+        "2767 vertices visited"),
+    # 14 x 14 x 6 vertices
+    "check_budget-vertices": (
+        1_175, lambda: check_budget(C3, (3, 2, 1)), "more than 1175 vertices"),
+    "check_budget-rank": (
+        3 * 1_176 - 1, lambda: check_budget(C3, (3, 2, 1), C3.n),
+        "1176 vertices x rank 3"),
+}
+
+
+@pytest.mark.parametrize("route", _REFUSALS)
+def test_every_refusal_passes_the_one_gate(route, monkeypatch):
+    # each route passes a budget equal to its work and is refused one unit under it
+    budget, run, work = _REFUSALS[route]
+    monkeypatch.setattr(core_module, "VERTEX_BUDGET", budget + 1)
+    run()
+    monkeypatch.setattr(core_module, "VERTEX_BUDGET", budget)
+    with pytest.raises(ShapeTooLarge) as info:
+        run()
+    assert work in str(info.value)
+    assert f"exceed the budget {budget}" in str(info.value)
+
+
+def test_a_passing_gate_formats_nothing(monkeypatch):
+    b = parse_filling(_ORACLE_START)
+
+    def fail(*args):
+        raise AssertionError("a budget message was formatted")
+
+    # the oracle passes the gate once per visited vertex
+    monkeypatch.setattr(sys.modules["kncrystals.serialize"], "serialize_filling", fail)
+    monkeypatch.setattr(CartanType, "__str__", fail)
+    demazure_grading_oracle(b)
+    ground_states(C3, (3, 2, 1))
+    monkeypatch.setattr(core_module, "VERTEX_BUDGET", 2**100_000)
+    assert check_budget(CartanType("A", 2), (1,) * 100_000) == 2**100_000

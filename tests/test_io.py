@@ -545,6 +545,14 @@ def test_cli_bench_mu_agrees_with_heights_past_64_factors(capsys):
     assert len(untimed[0]["heights"]) == 65
 
 
+def test_cli_bench_holds_its_energy_chains_to_the_budget(capsys):
+    # 20 trials x 250,000 factors pass a gate on the draws alone, but each
+    # trial's D^L chain runs 250,000 x 249,999 / 2 steps
+    argv = ["bench", "-t", "A", "-n", "3", "--mu", "250000", "--trials", "20"]
+    assert _exit_within_a_second(argv) == 2
+    assert "D^L steps of 250000 factors exceed the budget" in capsys.readouterr().err
+
+
 _RANK_PROBE = """
 from kncrystals import (CartanType, charge, columns, energy_DL, energy_DR, energy_report,
                         ground_states, local_table, parse_filling)
