@@ -448,9 +448,9 @@ def demazure_grading_oracle(elem):
     target's by one.)
 
     This searches from one element; :func:`demazure_grading` grades a whole
-    shape in one search and must agree with it at every vertex.  The visited
-    set passes :func:`kncrystals.core.hold_to_budget` as it grows, raising
-    ``ShapeTooLarge`` once it holds more vertices than the budget.
+    shape in one search and must agree with it at every vertex.  Each visited
+    vertex tries every e_i, so visited vertices x rank pass
+    :func:`kncrystals.core.hold_to_budget` as the set grows.
     """
     ct = elem.cartan
     dist = {elem: 0}
@@ -474,8 +474,8 @@ def demazure_grading_oracle(elem):
             nd = d + cost
             if nxt not in dist or nd < dist[nxt]:
                 dist[nxt] = nd
-                hold_to_budget(len(dist),
-                               lambda: f"{len(dist)} vertices visited by the search from {elem}")
+                hold_to_budget(len(dist) * ct.n, lambda: f"{len(dist)} vertices x rank "
+                               f"{ct.n} visited by the search from {elem}")
                 if cost == 0:
                     queue.appendleft(nxt)
                 else:

@@ -221,30 +221,19 @@ def cut_construction(gs):
 
     Factor i contributes a cell labelled i to the first tower per unbarred
     letter and to the second tower per barred letter; the towers are cut at
-    multiples of n and the pieces aligned at the bottom.  Row r then lists
-    the factors of the result containing the letter r.
+    multiples of n and the pieces aligned at the bottom, so the cell at
+    position pos of a tower gives factor i of the result the letter pos % n + 1.
     """
     elem = gs.element
     ct = elem.cartan
     if ct.family != "C":
         raise ValueError("the cut construction is defined for type C only")
-    n = ct.n
-    n_fac = len(elem.factors)
-    tower1 = []
-    tower2 = []
-    for i in range(1, n_fac + 1):
-        col = elem.factor_from_right(i)
-        tower1.extend([i] * sum(1 for x in col if x > 0))
-        tower2.extend([i] * sum(1 for x in col if x < 0))
-    rows = {r: [] for r in range(1, n + 1)}
-    for tower in (tower1, tower2):
-        for pos, label in enumerate(tower):
-            rows[pos % n + 1].append(label)
-    new_factors = {j: [] for j in range(1, n_fac + 1)}
-    for r, labels in rows.items():
-        for j in labels:
-            new_factors[j].append(r)
-    cols = tuple(
-        tuple(sorted(new_factors[j])) for j in range(n_fac, 0, -1)
-    )
-    return TensorElement(ct, cols)
+    laid = [0, 0]  # the cells laid so far in the first and the second tower
+    cols = []
+    for col in reversed(elem.factors):  # factor 1, 2, ... from the right
+        rows = []
+        for x in col:
+            rows.append(laid[x < 0] % ct.n + 1)
+            laid[x < 0] += 1
+        cols.append(tuple(sorted(rows)))
+    return TensorElement(ct, tuple(reversed(cols)))

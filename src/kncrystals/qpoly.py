@@ -59,40 +59,42 @@ def shape_heights(ct, mu):
 
 
 @dataclass(frozen=True)
-class QPolynomial:
-    """A sparse integer polynomial in q (negative exponents permitted)."""
+class _Sparse:
+    """Sparse integer coefficients by key; a subclass prints a key with ``_term``."""
 
-    coeffs: tuple  # of (exponent, coefficient), sorted by exponent
+    coeffs: tuple  # of (key, coefficient), sorted by key, no zero coefficient
 
-    @staticmethod
-    def from_dict(d):
-        return QPolynomial(tuple(sorted((a, c) for a, c in d.items() if c)))
+    @classmethod
+    def from_dict(cls, d):
+        return cls(tuple(sorted((k, c) for k, c in d.items() if c)))
 
     def as_dict(self):
         return dict(self.coeffs)
+
+    def __str__(self):
+        if not self.coeffs:
+            return "0"
+        return " + ".join(f"{c}*{self._term(k)}" for k, c in self.coeffs)
+
+
+class QPolynomial(_Sparse):
+    """A sparse integer polynomial in q (negative exponents permitted)."""
+
+    @staticmethod
+    def _term(a):
+        return f"q^{a}"
 
     def substitute_inverse(self):
         """The polynomial with q replaced by 1/q."""
         return QPolynomial.from_dict({-a: c for a, c in self.coeffs})
 
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        return " + ".join(f"{c}*q^{a}" for a, c in self.coeffs)
 
-
-@dataclass(frozen=True)
-class QXPolynomial:
-    """A sparse polynomial in q and weight monomials x^content."""
-
-    coeffs: tuple  # of ((exponent, content), coefficient), sorted
+class QXPolynomial(_Sparse):
+    """A sparse polynomial in q and weight monomials x^content, keyed by (exponent, content)."""
 
     @staticmethod
-    def from_dict(d):
-        return QXPolynomial(tuple(sorted((k, c) for k, c in d.items() if c)))
-
-    def as_dict(self):
-        return dict(self.coeffs)
+    def _term(key):
+        return f"q^{key[0]}*x^({','.join(map(str, key[1]))})"
 
     def total(self):
         return sum(c for _, c in self.coeffs)
@@ -105,15 +107,6 @@ class QXPolynomial:
                 if d.get((a, perm), 0) != c:
                     return False
         return True
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for (a, content), c in self.coeffs:
-            xs = ",".join(str(m) for m in content)
-            parts.append(f"{c}*q^{a}*x^({xs})")
-        return " + ".join(parts)
 
 
 def sort_via_rmatrix(elem):
@@ -212,16 +205,21 @@ def highest_weight_elements(ct, heights):
     return filter(is_classical_highest, iter_tensor_elements(ct, heights))
 
 
+def _grading(ct, heights, statistic):
+    """weight -> Counter of ``statistic`` over the highest elements of that weight."""
+    graded = {}
+    for b in highest_weight_elements(ct, heights):
+        graded.setdefault(weight(b), Counter())[statistic(b)] += 1
+    return graded
+
+
 def _graded_highest(ct, heights, lam, statistic):
     """The highest elements of weight ``lam``, graded by ``statistic``."""
     lam = tuple(lam)
     if len(lam) > ct.n or any(map(lt, lam, lam[1:])) or lam and lam[-1] < 0:
         raise ValueError(f"lambda = {lam} is not a partition of at most n = {ct.n} parts")
-    highest = highest_weight_elements(ct, heights)  # before the n-entry target
-    target = lam + (0,) * (ct.n - len(lam))
-    return QPolynomial.from_dict(
-        Counter(statistic(b) for b in highest if weight(b) == target)
-    )
+    graded = _grading(ct, heights, statistic)  # budget-checked before the n-entry target
+    return QPolynomial.from_dict(graded.get(lam + (0,) * (ct.n - len(lam)), {}))
 
 
 def kostka_foulkes(ct, lam, mu):
@@ -244,10 +242,7 @@ def one_dim_sum_X(ct, lam, heights):
 
 def dominant_contents(ct, heights):
     """Sorted weights of all classically highest elements of the product."""
-    seen = set()
-    for b in highest_weight_elements(ct, heights):
-        seen.add(weight(b))
-    return sorted(seen, reverse=True)
+    return sorted({weight(b) for b in highest_weight_elements(ct, heights)}, reverse=True)
 
 
 def schur_content_multiplicities(n, lam):
@@ -287,14 +282,11 @@ def schur_expansion_reconstruction(ct, mu):
     """Assemble sum_lambda K_{lambda' mu'}(q) s_lambda as a QXPolynomial."""
     if ct.family != "A":
         raise ValueError("the Schur reconstruction is a type A identity")
-    heights = shape_heights(ct, mu)
-    acc = {}
-    for lam_content in dominant_contents(ct, heights):
-        lam = tuple(p for p in lam_content if p > 0)
-        kf = kostka_foulkes(ct, lam, mu)
-        schur = schur_content_multiplicities(ct.n, lam)
-        for a, c in kf.coeffs:
+    acc = Counter()
+    # every K_{lambda' mu'} from one charge grading of B_mu's highest elements
+    for lam_content, kf in _grading(ct, shape_heights(ct, mu), charge).items():
+        schur = schur_content_multiplicities(ct.n, tuple(p for p in lam_content if p > 0))
+        for a, c in kf.items():
             for content, m in schur.items():
-                key = (a, content)
-                acc[key] = acc.get(key, 0) + c * m
+                acc[a, content] += c * m
     return QXPolynomial.from_dict(acc)

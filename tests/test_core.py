@@ -636,9 +636,10 @@ _REFUSALS = {
     # 100 trials x (3 factor draws + 3 D^L steps of 3 factors)
     "run_bench": (
         599, lambda: run_bench(A2, (1, 1, 1), trials=100, repeats=1), "100 trials x 6"),
+    # 2,767 visited vertices x rank 4
     "demazure_grading_oracle": (
-        2_766, lambda: demazure_grading_oracle(parse_filling(_ORACLE_START)),
-        "2767 vertices visited"),
+        4 * 2_767 - 1, lambda: demazure_grading_oracle(parse_filling(_ORACLE_START)),
+        "2767 vertices x rank 4 visited"),
     # 14 x 14 x 6 vertices
     "check_budget-vertices": (
         1_175, lambda: check_budget(C3, (3, 2, 1)), "more than 1175 vertices"),

@@ -253,9 +253,10 @@ def test_oracle_target_reached_immediately():
 
 
 def test_oracle_holds_its_search_to_the_budget(monkeypatch):
-    # the search from this element of C4 (4,3,3,2,2,1,1) visits 2,767 vertices
+    # the search from this element of C4 (4,3,3,2,2,1,1) visits 2,767 vertices,
+    # and the gate holds the visited vertices x rank 4 to the budget
     b = parse_filling("C4; 3,4,-4,-3 | 3,-4,-2 | 2,3,-3 | 1,3 | -3,-1 | 1 | 2")
-    monkeypatch.setattr(core_module, "VERTEX_BUDGET", 2_767)
+    monkeypatch.setattr(core_module, "VERTEX_BUDGET", 4 * 2_767)
     demazure_grading_oracle(b)
     monkeypatch.setattr(core_module, "VERTEX_BUDGET", 1_000)
     start = time.perf_counter()

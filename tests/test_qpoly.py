@@ -20,7 +20,7 @@ from kncrystals import (
     sort_via_rmatrix,
 )
 from kncrystals.core import check_budget
-from kncrystals.qpoly import highest_weight_elements
+from kncrystals.qpoly import QPolynomial, QXPolynomial, highest_weight_elements
 from kncrystals.errors import EnergyInconsistent, ShapeTooLarge, WeightMismatch
 
 A1 = CartanType("A", 2)
@@ -129,6 +129,40 @@ def test_kostka_reconstruction_identity():
                 assert schur_expansion_reconstruction(ct, mu) == macdonald_p_q0(ct, mu)
                 checked += 1
     assert checked > 30
+
+
+def test_reconstruction_enumerates_the_shape_once(monkeypatch):
+    # one charge grading gives every K_lambda, so B_mu is enumerated once, not
+    # once for its dominant contents and again for each of their 4 lambdas
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return highest_weight_elements(*args)
+
+    A5 = CartanType("A", 5)
+    monkeypatch.setattr(qpoly_module, "highest_weight_elements", counted)
+    assert schur_expansion_reconstruction(A5, (3, 2, 2, 1)) == macdonald_p_q0(A5, (3, 2, 2, 1))
+    assert calls == [(A5, (4, 3, 1))]
+
+
+def test_printed_forms_of_both_polynomial_types():
+    for empty in (QPolynomial(()), QXPolynomial(())):
+        assert str(empty) == "0"
+        assert str(type(empty).from_dict({})) == "0"
+    # a zero coefficient is dropped, and a negative exponent prints as is
+    p = QPolynomial.from_dict({2: 3, 0: 0, -1: 1})
+    assert p.coeffs == ((-1, 1), (2, 3))
+    assert str(p) == "1*q^-1 + 3*q^2"
+    x = QXPolynomial.from_dict({(-1, (1, 0)): 2, (0, (0, 1)): 0, (1, (0, 1)): -1})
+    assert x.coeffs == (((-1, (1, 0)), 2), ((1, (0, 1)), -1))
+    assert str(x) == "2*q^-1*x^(1,0) + -1*q^1*x^(0,1)"
+    # the two types never compare equal, and equal values hash equal
+    assert QPolynomial(()) != QXPolynomial(())
+    assert p == QPolynomial.from_dict({-1: 1, 2: 3}) and p != x
+    assert hash(p) == hash(QPolynomial.from_dict({-1: 1, 2: 3}))
+    assert hash(x) == hash(QXPolynomial(x.coeffs))
+    assert len({p, QPolynomial(p.coeffs), x, QXPolynomial(x.coeffs)}) == 2
 
 
 def test_energy_and_charge_generating_functions_agree():
