@@ -27,7 +27,6 @@ from .core import (
     lusztig_involution,
     phi,
     split_column,
-    tensor_elements,
     validate_column,
     weight,
 )

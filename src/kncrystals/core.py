@@ -79,27 +79,16 @@ class CartanType:
         # from ints only, so it is the same in every interpreter (str hashes
         # are salted per process) and a pickled copy hashes like a fresh one
         object.__setattr__(self, "_hash", hash((self.n, self.family == "C")))
+        # the top classical index, n in type C and n - 1 in type A, is also
+        # the tallest column; set once, so each is read as a plain attribute
+        top = self.n if self.family == "C" else self.n - 1
+        object.__setattr__(self, "max_height", top)
+        object.__setattr__(self, "classical_indices", range(1, top + 1))
+        object.__setattr__(self, "index_set", range(0, top + 1))
+        object.__setattr__(self, "alphabet_size", 2 * self.n if self.family == "C" else self.n)
 
     def __hash__(self):
         return self._hash
-
-    @property
-    def classical_indices(self):
-        top = self.n if self.family == "C" else self.n - 1
-        return range(1, top + 1)
-
-    @property
-    def index_set(self):
-        top = self.n if self.family == "C" else self.n - 1
-        return range(0, top + 1)
-
-    @property
-    def alphabet_size(self):
-        return 2 * self.n if self.family == "C" else self.n
-
-    @property
-    def max_height(self):
-        return self.n if self.family == "C" else self.n - 1
 
     def alphabet(self):
         """All letters in increasing total order."""
@@ -345,10 +334,8 @@ def _column_index(ct, h):
 
 
 def column_content(ct, col):
-    m = [0] * ct.n
-    for x in col:
-        m[abs(x) - 1] += 1 if x > 0 else -1
-    return tuple(m)
+    """The weight of one column."""
+    return weight(TensorElement(ct, (col,)))
 
 
 # the three per-column rules read the column's table entry; they stay
@@ -573,13 +560,8 @@ def check_budget(ct, heights, per_vertex=1):
     return size
 
 
-def tensor_elements(ct, heights):
-    """All vertices of the shape, in sort-key order (the columns are sorted)."""
-    check_budget(ct, heights)
-    return list(iter_tensor_elements(ct, heights))
-
-
 def iter_tensor_elements(ct, heights):
+    """All vertices of the shape, in sort-key order (the columns are sorted)."""
     pools = [columns(ct, h) for h in heights]
     for facs in itertools.product(*pools):
         yield TensorElement(ct, facs)

@@ -12,7 +12,7 @@ Parsing and serialization are mutually inverse on every valid element.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .core import CartanType, element
 from .errors import ParseError
@@ -100,21 +100,11 @@ class VerifyReport:
         )
 
     def to_json(self):
-        return json.dumps(
-            {
-                "schema_version": REPORT_SCHEMA_VERSION,
-                "cartan": self.cartan,
-                "heights": list(self.heights),
-                "mu": list(self.mu) if self.mu is not None else None,
-                "element_count": self.element_count,
-                "max_abs_D_plus_charge": self.max_discrepancy,
-                "elapsed_seconds": round(self.elapsed_seconds, 3),
-                "suites": self.suites,
-                "passed": self.passed,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        doc = asdict(self)
+        doc["max_abs_D_plus_charge"] = doc.pop("max_discrepancy")
+        doc["elapsed_seconds"] = round(self.elapsed_seconds, 3)
+        doc.update(schema_version=REPORT_SCHEMA_VERSION, passed=self.passed)
+        return json.dumps(doc, indent=2, sort_keys=True)
 
     def to_text(self):
         lines = [

@@ -88,8 +88,8 @@ def _suite_rmatrix(ct, heights):
             # the commutor S(S(r) (x) S(l)) equals sigma
             yield involution[TensorElement(ct, (sr, sl))].factors == (l2, r2)
             # H(b2 (x) b1) = H(S(b1) (x) S(b2))
-            yield local_energy(ct, l, r) == local_energy(ct, sr, sl)
             h = table.h[(l, r)]
+            yield h == local_energy(ct, sr, sl)
             for i in ct.index_set:
                 # sigma commutes with f_i, and H is constant along classical
                 # f_i; along f_0 it follows the LL/RR rule, rising by 1 where

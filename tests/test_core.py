@@ -1,9 +1,11 @@
+import dataclasses
 import itertools
 import os
 import pickle
 import subprocess
 import sys
 import time
+from collections import Counter
 from importlib import import_module
 from math import comb
 from pathlib import Path
@@ -38,7 +40,6 @@ from kncrystals import (
     run_bench,
     shape_heights,
     split_column,
-    tensor_elements,
     validate_column,
     weight,
 )
@@ -48,6 +49,7 @@ from kncrystals.core import (
     _signature,
     _split_sets,
     check_budget,
+    column_content,
     column_involution,
     iter_tensor_elements,
 )
@@ -135,7 +137,7 @@ def test_columns_equal_the_validated_letter_subsets():
 
 def test_tensor_elements_come_out_sorted():
     for ct, heights in ((A4, (3, 2, 2, 1)), (C3, (3, 2, 1))):
-        elems = tensor_elements(ct, heights)
+        elems = list(iter_tensor_elements(ct, heights))
         assert elems == sorted(elems, key=TensorElement.sort_key)
 
 
@@ -547,12 +549,48 @@ def test_vertex_budget(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(core_module, "VERTEX_BUDGET", 100)
         with pytest.raises(ShapeTooLarge):
-            tensor_elements(C3, (3, 3, 3))
+            check_budget(C3, (3, 3, 3))
     with pytest.raises(ShapeTooLarge):
-        tensor_elements(CartanType("A", 30), (15,))
+        check_budget(CartanType("A", 30), (15,))
     for ct, k in ((C3, 0), (C3, 4), (A2, 3)):
         with pytest.raises(ValueError):
             crystal_size(ct, (2, k))
+
+
+_DERIVED = ("max_height", "classical_indices", "index_set", "alphabet_size")
+
+
+@pytest.mark.parametrize(
+    "ct",
+    [CartanType("A", n) for n in range(2, 10)] + [CartanType("C", n) for n in range(2, 7)],
+    ids=str,
+)
+def test_cartan_derived_values(ct):
+    # A_{n-1}^(1) has classical indices 1..n-1 over n letters, C_n^(1) has
+    # 1..n over the 2n letters 1..n and their bars
+    top = ct.n - 1 if ct.family == "A" else ct.n
+    assert ct.max_height == top
+    assert list(ct.classical_indices) == list(range(1, top + 1))
+    assert list(ct.index_set) == [0, *ct.classical_indices]
+    assert ct.alphabet_size == len(ct.alphabet())
+    for name in _DERIVED:
+        with pytest.raises(AttributeError):
+            setattr(ct, name, getattr(ct, name))
+    for copy in (pickle.loads(pickle.dumps(ct)), dataclasses.replace(ct)):
+        assert copy == ct and hash(copy) == hash(ct)
+        assert [getattr(copy, name) for name in _DERIVED] == [
+            getattr(ct, name) for name in _DERIVED
+        ]
+
+
+def test_column_content_counts_signed_letters():
+    cartans = [CartanType("A", n) for n in range(2, 8)] + [CartanType("C", n) for n in range(2, 6)]
+    for ct in cartans:
+        for h in range(1, ct.max_height + 1):
+            for col in columns(ct, h):
+                counts = Counter(col)
+                expected = tuple(counts[z] - counts[-z] for z in range(1, ct.n + 1))
+                assert column_content(ct, col) == expected, (ct, col)
 
 
 def test_factor_indexing_from_right():

@@ -29,10 +29,10 @@ from kncrystals import (
     parse_filling,
     run_bench,
     serialize_filling,
-    tensor_elements,
 )
 from kncrystals.cli import build_parser, main
 from kncrystals.errors import AdmissibilityViolation, CrystalError, ParseError
+from kncrystals.serialize import VerifyReport
 
 A5 = CartanType("A", 6)
 C5 = CartanType("C", 5)
@@ -164,6 +164,36 @@ def test_cli_verify_json(capsys):
     assert set(data["suites"]) == {"theorem", "charge", "involution"}
 
 
+_PINNED_REPORTS = [
+    (
+        VerifyReport("C3", (2, 1), (2, 1), 15, 2, 1.23456,
+                     {"theorem": {"passed": True, "checks": 15},
+                      "rmatrix": {"passed": False, "checks": 7}}),
+        '{\n  "cartan": "C3",\n  "elapsed_seconds": 1.235,\n  "element_count": 15,\n'
+        '  "heights": [\n    2,\n    1\n  ],\n  "max_abs_D_plus_charge": 2,\n'
+        '  "mu": [\n    2,\n    1\n  ],\n  "passed": false,\n  "schema_version": 1,\n'
+        '  "suites": {\n    "rmatrix": {\n      "checks": 7,\n      "passed": false\n'
+        '    },\n    "theorem": {\n      "checks": 15,\n      "passed": true\n    }\n  }\n}',
+    ),
+    (
+        VerifyReport("A4", (3,), None, 4, 0, 0.0004,
+                     {"charge": {"passed": True, "checks": 4}}),
+        '{\n  "cartan": "A4",\n  "elapsed_seconds": 0.0,\n  "element_count": 4,\n'
+        '  "heights": [\n    3\n  ],\n  "max_abs_D_plus_charge": 0,\n  "mu": null,\n'
+        '  "passed": true,\n  "schema_version": 1,\n'
+        '  "suites": {\n    "charge": {\n      "checks": 4,\n      "passed": true\n'
+        '    }\n  }\n}',
+    ),
+]
+
+
+@pytest.mark.parametrize("report, text", _PINNED_REPORTS, ids=["failing", "no_mu"])
+def test_verify_report_json_text_is_pinned(report, text):
+    # the whole document, key order and indentation included
+    assert report.to_json() == text
+    assert report.max_discrepancy == json.loads(text)["max_abs_D_plus_charge"]
+
+
 def test_cli_verify_mu_and_jobs(capsys):
     argv = ["verify", "-t", "A", "-n", "3", "--mu", "2,1", "--suites", "theorem"]
     assert main(argv) == 0
@@ -241,7 +271,7 @@ def test_cli_refuses_an_empty_shape(command, capsys):
 
 @pytest.mark.parametrize(
     "route",
-    [crystal_size, tensor_elements, crystal_graph, ground_states, run_bench,
+    [crystal_size, core.check_budget, crystal_graph, ground_states, run_bench,
      macdonald_p_q0],
     ids=lambda f: f.__name__,
 )
@@ -449,7 +479,7 @@ def test_cli_enumerate_streams_its_vertices(capsys):
     # the output is the closed-form count, then the first --limit vertices
     ct, heights = C3, (2, 1)
     lines = [str(crystal_size(ct, heights))]
-    lines += [serialize_filling(b) for b in tensor_elements(ct, heights)]
+    lines += [serialize_filling(b) for b in core.iter_tensor_elements(ct, heights)]
     for limit in (None, 0, 5):
         argv = ["enumerate", "-t", "C", "-n", "3", "--heights", "2,1"]
         assert main(argv + ([] if limit is None else ["--limit", str(limit)])) == 0
